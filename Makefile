@@ -56,7 +56,7 @@ test:
 # registry instances; bitvec backs every frontier the workers share and gen
 # feeds the parallel generators. All matter under -race.
 race:
-	$(GO) test -race ./internal/core/... ./internal/sched/... ./internal/sparse/... ./internal/distributed/... ./internal/server/... ./internal/graph/... ./internal/bitvec/... ./internal/gen/... ./internal/snap/... ./algorithms/...
+	$(GO) test -race ./internal/core/... ./internal/sched/... ./internal/sparse/... ./internal/server/... ./internal/graph/... ./internal/bitvec/... ./internal/gen/... ./internal/snap/... ./algorithms/...
 
 # Fuzz smoke over the graph readers and the SIMD kernel backends: 10s per
 # target (go test takes one -fuzz pattern at a time). The reader targets

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"runtime"
 	"sort"
 	"strings"
 
@@ -210,7 +211,8 @@ type Spec struct {
 // ParseParams validates raw key/value parameters (JSON-decoded: numbers as
 // float64, lists as []any) against the spec's declared schema. Unknown keys
 // error. "threads" and "mode" are accepted for every algorithm — both are
-// engine performance knobs that cannot change a result.
+// engine performance knobs that cannot change a result; "threads" is
+// clamped to GOMAXPROCS.
 func (s Spec) ParseParams(raw map[string]any) (Params, error) {
 	var p Params
 	for key, val := range raw {
@@ -219,7 +221,10 @@ func (s Spec) ParseParams(raw map[string]any) (Params, error) {
 			if err != nil {
 				return p, fmt.Errorf("parameter threads: %w", err)
 			}
-			p.Threads = int(n)
+			// Results do not depend on Threads, so clamping changes no
+			// answer; it keeps a client from spawning a permanent
+			// shared worker pool wider than the machine.
+			p.Threads = int(min(n, uint64(runtime.GOMAXPROCS(0))))
 			continue
 		}
 		if key == "mode" {

@@ -2,11 +2,13 @@ package algorithms_test
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"graphmat"
 	"graphmat/algorithms"
 	"graphmat/internal/gen"
+	"graphmat/internal/sched"
 	"graphmat/internal/sparse"
 )
 
@@ -196,6 +198,43 @@ func TestSourceOutOfRange(t *testing.T) {
 	_, ppr := buildInstance(t, "ppr")
 	if _, err := ppr.Run(algorithms.Params{Sources: []uint32{math.MaxUint32}}, nil); err == nil {
 		t.Fatal("ppr: expected out-of-range error")
+	}
+}
+
+// TestParseParamsClampsThreads checks that a client's threads parameter
+// cannot size a shared worker pool beyond GOMAXPROCS: shared pools live for
+// the process, so an unclamped "threads": 2000 would park that many
+// goroutines forever.
+func TestParseParamsClampsThreads(t *testing.T) {
+	procs := runtime.GOMAXPROCS(0)
+	spec, ok := algorithms.Lookup("pagerank")
+	if !ok {
+		t.Fatal("pagerank not registered")
+	}
+	p, err := spec.ParseParams(map[string]any{"threads": float64(2000), "iters": float64(2)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.Threads != procs {
+		t.Fatalf("threads 2000 parsed to %d, want GOMAXPROCS=%d", p.Threads, procs)
+	}
+	// 4096 vertices give the engine's send/apply phases 64 chunk tasks, so
+	// an unclamped worker count would spawn a 64-wide pool.
+	inst, err := spec.Build(gen.RMAT(gen.RMATOptions{Scale: 12, EdgeFactor: 4, Seed: 9}), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := map[int]bool{}
+	for _, ps := range sched.Snapshot() {
+		before[ps.Workers] = true
+	}
+	if _, err := inst.Run(p, nil); err != nil {
+		t.Fatal(err)
+	}
+	for _, ps := range sched.Snapshot() {
+		if !before[ps.Workers] && ps.Workers > procs {
+			t.Errorf("run spawned a %d-worker shared pool, GOMAXPROCS=%d", ps.Workers, procs)
+		}
 	}
 }
 

@@ -117,7 +117,9 @@ const (
 // VectorKind selects the sparse message-vector representation.
 type VectorKind = core.VectorKind
 
-// Engine ablation knobs (see the Figure 7 reproduction).
+// Engine ablation knobs (see the Figure 7 reproduction). Sorted, the
+// paper's rejected sorted-tuple message vector, runs only with Boxed
+// dispatch (the "naive" row); Run and SpMV reject it with Inlined.
 const (
 	Bitvector = core.Bitvector
 	Sorted    = core.Sorted

@@ -60,11 +60,18 @@ func TestPublicAPIRoundTrip(t *testing.T) {
 }
 
 func TestPublicAPIAblationKnobs(t *testing.T) {
-	// All four knob combinations must agree (the Figure 7 configurations
-	// change performance, never results).
+	// Every accepted knob combination must agree (the Figure 7
+	// configurations change performance, never results). The sorted vector
+	// is a boxed-only ablation: with inlined dispatch it is rejected.
+	g, err := graphmat.New[float32](fig3Edges(), graphmat.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := graphmat.Run(g, publicSSSP{}, graphmat.Config{Vector: graphmat.Sorted, Dispatch: graphmat.Inlined}); err == nil {
+		t.Error("Sorted with Inlined dispatch accepted")
+	}
 	configs := []graphmat.Config{
 		{Vector: graphmat.Bitvector, Dispatch: graphmat.Inlined},
-		{Vector: graphmat.Sorted, Dispatch: graphmat.Inlined},
 		{Vector: graphmat.Bitvector, Dispatch: graphmat.Boxed},
 		{Vector: graphmat.Sorted, Dispatch: graphmat.Boxed, Schedule: graphmat.Static},
 	}

@@ -87,7 +87,9 @@ const (
 	// representation the paper selects.
 	Bitvector VectorKind = iota
 	// Sorted stores messages as a sorted (index, value) tuple array — the
-	// paper's rejected alternative, kept as the Figure 7 "naive" baseline.
+	// paper's rejected alternative, kept only for the Figure 7 "naive"
+	// baseline: it runs on the Boxed dispatch path alone, and the engine
+	// rejects it with Inlined dispatch.
 	Sorted
 )
 
@@ -158,7 +160,10 @@ type Config struct {
 	// MaxIterations caps the superstep count; <= 0 means run until no
 	// vertex is active (the paper's -1 convention).
 	MaxIterations int
-	// Vector selects the message-vector representation.
+	// Vector selects the message-vector representation. Sorted is valid
+	// only with Dispatch: Boxed (the Figure 7 "naive" ablation); the
+	// inlined kernels always use the bitvector, and RunContext and
+	// SpMVContext reject Sorted with Inlined dispatch.
 	Vector VectorKind
 	// Dispatch selects inlined or boxed user-callback invocation.
 	Dispatch Dispatch
@@ -179,6 +184,15 @@ type Config struct {
 	// shaping; PerCall keeps the legacy per-call goroutine fan-out with
 	// partition-granular tasks (the scheduling ablation baseline).
 	Runtime Runtime
+}
+
+// check rejects configurations no engine path runs: the sorted message
+// vector exists only on the boxed (naive) dispatch path.
+func (c Config) check() error {
+	if c.Vector == Sorted && c.Dispatch != Boxed {
+		return fmt.Errorf("core: the sorted message vector runs only with boxed dispatch")
+	}
+	return nil
 }
 
 func (c Config) withDefaults() Config {

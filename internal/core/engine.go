@@ -216,7 +216,7 @@ func runTyped[V, E, M, R any, P Program[V, E, M, R]](g *graph.Graph[V, E], p P, 
 		costs = AddLayers(AddLayers(costs, outLayers), inLayers)
 	}
 
-	x, xs, y := ws.x, ws.xs, ws.y
+	x, y := ws.x, ws.y
 
 	// Multiply-phase task lists, prepared once per run and direction: a
 	// partition-granular list plus the nnz-weighted shaped list the pooled
@@ -231,12 +231,6 @@ func runTyped[V, E, M, R any, P Program[V, E, M, R]](g *graph.Graph[V, E], p P, 
 	chunks := chunkBounds(n, cfg.Threads*4)
 	nchunks := len(chunks) - 1
 	locals := make([]localStats, cfg.Threads)
-	// Sorted mode gathers per-chunk entry runs and concatenates them in
-	// chunk order, preserving global index order.
-	var sortedRuns [][]sparse.Entry[M]
-	if xs != nil {
-		sortedRuns = make([][]sparse.Entry[M], nchunks)
-	}
 
 	maxIter := cfg.MaxIterations
 	if maxIter <= 0 {
@@ -258,50 +252,22 @@ func runTyped[V, E, M, R any, P Program[V, E, M, R]](g *graph.Graph[V, E], p P, 
 
 		// Phase 1: SendMessage over active vertices builds the sparse
 		// message vector (Algorithm 2 lines 3-5).
-		if x != nil {
-			x.Reset()
-			parallelFor(ex, nchunks, stop, func(c, w int) {
-				st := &locals[w]
-				active.IterateRange(chunks[c], chunks[c+1], func(v uint32) {
-					if m, ok := p.SendMessage(v, props[v]); ok {
-						x.Set(v, m)
-						if autoDegs != nil {
-							st.degSum += int64(autoDegs[v])
-						}
+		x.Reset()
+		parallelFor(ex, nchunks, stop, func(c, w int) {
+			st := &locals[w]
+			active.IterateRange(chunks[c], chunks[c+1], func(v uint32) {
+				if m, ok := p.SendMessage(v, props[v]); ok {
+					x.Set(v, m)
+					if autoDegs != nil {
+						st.degSum += int64(autoDegs[v])
 					}
-				})
-			})
-		} else {
-			xs.Reset()
-			parallelFor(ex, nchunks, stop, func(c, w int) {
-				st := &locals[w]
-				var run []sparse.Entry[M]
-				active.IterateRange(chunks[c], chunks[c+1], func(v uint32) {
-					if m, ok := p.SendMessage(v, props[v]); ok {
-						run = append(run, sparse.Entry[M]{Idx: v, Val: m})
-						if autoDegs != nil {
-							st.degSum += int64(autoDegs[v])
-						}
-					}
-				})
-				sortedRuns[c] = run
-			})
-			for c := 0; c < nchunks; c++ {
-				for _, e := range sortedRuns[c] {
-					xs.Append(e.Idx, e.Val)
 				}
-				sortedRuns[c] = nil
-			}
-		}
+			})
+		})
 		// The frontier sizes come off the occupancy masks, not per-Set
 		// counters: one popcount sweep per phase feeds the cost model and
 		// the stats.
-		var sent int64
-		if x != nil {
-			sent = int64(x.NNZ())
-		} else {
-			sent = int64(xs.NNZ())
-		}
+		sent := int64(x.NNZ())
 		stats.MessagesSent += sent
 		_, degSum := stats.absorb(locals)
 
@@ -317,10 +283,9 @@ func runTyped[V, E, M, R any, P Program[V, E, M, R]](g *graph.Graph[V, E], p P, 
 				stats.PullSupersteps++
 			}
 			// Phase 2: generalized SpMV (Algorithm 1) through the selected
-			// kernel. Each partition owns a disjoint 64-aligned output row
-			// range, so no synchronization on y. Partitions with a delta
-			// overlay run the merged two-layer kernels; the rest take the
-			// single-layer fast path.
+			// kernel. Each task owns a disjoint 64-aligned output row range
+			// (a partition, or a row slice of one), so no synchronization
+			// on y.
 			y.Reset()
 			for di, layers := range [2][]sparse.Layered[E]{outLayers, inLayers} {
 				if layers == nil {
@@ -330,35 +295,13 @@ func runTyped[V, E, M, R any, P Program[V, E, M, R]](g *graph.Graph[V, E], p P, 
 				if di == 1 {
 					plan = &inPlan
 				}
-				tasks := plan.pick(stepMode, x == nil)
+				tasks := plan.pick(stepMode)
 				parallelFor(ex, len(tasks), stop, func(ti, w int) {
 					t := tasks[ti]
-					l := layers[t.layer]
-					if l.Delta == nil {
-						switch {
-						case x != nil && stepMode == Push:
-							spmvPushBitvec(l.Base, x, props, p, y, &locals[w], t.rlo, t.rhi)
-						case x != nil:
-							spmvPullBitvec(l.Base, x, props, p, y, &locals[w], t.rlo, t.rhi)
-						case stepMode == Push:
-							spmvPushSorted(l.Base, xs, props, p, y, &locals[w])
-						default:
-							spmvPullSorted(l.Base, xs, props, p, y, &locals[w])
-						}
-						return
-					}
-					// Layered partitions are never row-split (shapeTasks
-					// keeps them whole): the merged two-layer kernels run
-					// partition-granular.
-					switch {
-					case x != nil && stepMode == Push:
-						spmvPushBitvecLayered(l, x, props, p, y, &locals[w])
-					case x != nil:
-						spmvPullBitvecLayered(l, x, props, p, y, &locals[w])
-					case stepMode == Push:
-						spmvPushSortedLayered(l, xs, props, p, y, &locals[w])
-					default:
-						spmvPullSortedLayered(l, xs, props, p, y, &locals[w])
+					if stepMode == Push {
+						spmvPush(layers[t.layer], x, props, p, y, &locals[w])
+					} else {
+						spmvPull(layers[t.layer], x, props, p, y, &locals[w], t.rlo, t.rhi)
 					}
 				})
 			}

@@ -184,9 +184,7 @@ func runBlock[V, E, M, R any, P BlockProgram[V, E, M, R]](
 			} else {
 				stats.PullSupersteps++
 			}
-			// Phase 2: the SpMM. Partition dispatch mirrors runTyped's:
-			// layered kernels where a delta overlay exists, single-layer fast
-			// path elsewhere.
+			// Phase 2: the SpMM, dispatched exactly like runTyped's SpMV.
 			y.Reset()
 			for di, layers := range [2][]sparse.Layered[E]{outLayers, inLayers} {
 				if layers == nil {
@@ -196,24 +194,13 @@ func runBlock[V, E, M, R any, P BlockProgram[V, E, M, R]](
 				if di == 1 {
 					plan = &inPlan
 				}
-				tasks := plan.pick(stepMode, false)
+				tasks := plan.pick(stepMode)
 				parallelFor(ex, len(tasks), stop, func(ti, w int) {
 					t := tasks[ti]
-					l := layers[t.layer]
-					if l.Delta == nil {
-						if stepMode == Push {
-							spmmPushBitvec(l.Base, x, p, y, &locals[w], t.rlo, t.rhi)
-						} else {
-							spmmPullBitvec(l.Base, x, p, y, &locals[w], t.rlo, t.rhi)
-						}
-						return
-					}
-					// Layered partitions stay whole (shapeTasks never
-					// splits them).
 					if stepMode == Push {
-						spmmPushLayered(l, x, p, y, &locals[w])
+						spmmPush(layers[t.layer], x, p, y, &locals[w])
 					} else {
-						spmmPullLayered(l, x, p, y, &locals[w])
+						spmmPull(layers[t.layer], x, p, y, &locals[w], t.rlo, t.rhi)
 					}
 				})
 			}

@@ -97,7 +97,6 @@ func TestFloatDeterminismAcrossSchedules(t *testing.T) {
 		{Config{Threads: 2}, 8},
 		{Config{Threads: 4, Schedule: Static}, 16},
 		{Config{Threads: 3, Schedule: Dynamic}, 5},
-		{Config{Threads: 2, Vector: Sorted}, 8},
 	} {
 		got := run(tc.cfg, tc.nparts)
 		for v := range ref {

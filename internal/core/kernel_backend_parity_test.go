@@ -15,7 +15,8 @@ import (
 // to the same run under the scalar oracle, across the full kernel matrix:
 // {pull, push, auto} × {bitvector, sorted} × {base, layered overlay}, for
 // both the generic fold path and the SumFoldF64 fast path, scalar (SpMV) and
-// block (SpMM) engines. This is the engine-shaped complement of the
+// block (SpMM) engines. The sorted rows run the boxed (naive) dispatch, the
+// only path that accepts that vector. This is the engine-shaped complement of the
 // primitive-level parity tests in internal/kernels.
 
 // sumFoldProg is a (+, passthrough) float64 program carrying the SumFoldF64
@@ -145,6 +146,11 @@ func TestKernelBackendParityScalarEngine(t *testing.T) {
 					name := fmt.Sprintf("%s/layered_%v/vec_%d/mode_%s", p.name, layered, kind, mode)
 					t.Run(name, func(t *testing.T) {
 						cfg := Config{Threads: 3, MaxIterations: 12, Vector: kind, Mode: mode}
+						if kind == Sorted {
+							// The sorted vector runs only on the boxed
+							// (naive) ablation path.
+							cfg.Dispatch = Boxed
+						}
 						restore := forceBackendOrFatal(t, kernels.Scalar)
 						ref := runOne(t, p, layered, cfg)
 						restore()
@@ -218,6 +224,9 @@ func TestKernelBackendParityGenericFold(t *testing.T) {
 		for _, mode := range []Mode{Pull, Push, Auto} {
 			t.Run(fmt.Sprintf("vec_%d/mode_%s", kind, mode), func(t *testing.T) {
 				cfg := Config{Threads: 3, MaxIterations: 40, Vector: kind, Mode: mode}
+				if kind == Sorted {
+					cfg.Dispatch = Boxed
+				}
 				restore := forceBackendOrFatal(t, kernels.Scalar)
 				refProps, refStats := runOne(t, cfg)
 				restore()

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math"
 	"math/bits"
 
 	"graphmat/internal/kernels"
@@ -11,11 +10,11 @@ import (
 // This file is the multi-source half of the kernel layer: the generalized
 // sparse matrix–sparse MATRIX multiplication (SpMM) over n×k block vectors —
 // one sweep of the adjacency structure advancing up to 64 source columns at
-// once, in pull (column probe) and push (frontier-driven SpMSpV) directions,
-// over single-layer and layered (base+delta overlay) partitions. The point of
-// the widening is amortization: the column probes and edge-list walks that
-// dominate a scalar superstep are paid once per edge instead of once per
-// (edge, source).
+// once, in pull (spmmPull, column probe) and push (spmmPush, frontier-driven
+// SpMSpV) directions, over the same Layered partitions and overlay walk as
+// the scalar kernels. The point of the widening is amortization: the column
+// probes and edge-list walks that dominate a scalar superstep are paid once
+// per edge instead of once per (edge, source).
 //
 // The scalar kernels' invariants carry over per column:
 //
@@ -65,291 +64,155 @@ func foldBlockColumn[V, E, M, R any, P BlockProgram[V, E, M, R]](
 	}
 }
 
-// spmmPullBitvec is spmvPullBitvec widened to k columns: traverse the
-// partition's nonzero columns in ascending id, probe the block frontier's
-// summary bit, and fold each edge once per live source column.
-// rlo/rhi bound the destination rows (the scheduler's nnz-weighted
-// sub-partition tasks), exactly as in spmvPullBitvec.
-func spmmPullBitvec[V, E, M, R any, P BlockProgram[V, E, M, R]](
-	part *sparse.DCSC[E],
-	x *BlockVector[M],
-	p P,
-	y *BlockVector[R],
-	st *localStats,
-	rlo, rhi uint32,
-) {
-	jc, cp, ir, vals := part.JC, part.CP, part.IR, part.Val
-	bounded := rlo > part.RowLo || rhi < part.RowHi
-	k := x.k
-	xw := x.summary.Words()
-	xcols, xvals := x.cols, x.vals
-	ysw := y.summary.Words()
-	ycols, yvals := y.cols, y.vals
-	xf, yf, sumOK := sumFoldBlockView(p, x, y)
-	fk, xg, yg := f32FoldBlockView(p, x, y)
-	wv, wvOK := any(vals).([]float32)
-	ffOK := fk != f32FoldNone && wvOK
-	edges := int64(0)
-	for ci, j := range jc {
-		if xw[j>>6]&(1<<(j&63)) == 0 {
-			continue
-		}
-		cm := xcols[j]
-		if cm == 0 {
-			continue
-		}
-		lo, hi := cp[ci], cp[ci+1]
-		irc := ir[lo:hi]
-		if ffOK {
-			wc := wv[lo:hi:hi]
-			if bounded {
-				l, r := rowSpan(irc, rlo, rhi)
-				irc, wc = irc[l:r], wc[l:r]
-				if len(irc) == 0 {
-					continue
-				}
-			}
-			edges += int64(len(irc)) * int64(bits.OnesCount64(cm))
-			foldBlockColumnF32(fk, k, cm, xg[int(j)*k:int(j)*k+k], irc, wc, ysw, ycols, yg)
-			continue
-		}
-		vc := vals[lo:hi:hi]
-		if bounded {
-			l, r := rowSpan(irc, rlo, rhi)
-			irc, vc = irc[l:r], vc[l:r]
-			if len(irc) == 0 {
-				continue
-			}
-		}
-		edges += int64(len(irc)) * int64(bits.OnesCount64(cm))
-		if sumOK {
-			foldBlockColumnSumF64(k, cm, xf[int(j)*k:int(j)*k+k], irc, ysw, ycols, yf)
-			continue
-		}
-		xrow := xvals[int(j)*k : int(j)*k+k]
-		foldBlockColumn(p, k, cm, xrow, irc, vc, ysw, ycols, yvals)
-	}
-	st.probes += int64(len(jc))
-	st.edges += edges
+// spmmView is one block kernel call's resolved operands, looked up once per
+// call: the frontier and output blocks and the fused-fold views.
+type spmmView[V, E, M, R any, P BlockProgram[V, E, M, R]] struct {
+	p             P
+	k             int
+	xw, xcols     []uint64
+	xvals         []M
+	ysw, ycols    []uint64
+	yvals         []R
+	xf, yf        []float64
+	sumOK         bool
+	fk            f32FoldKind
+	xg, yg        []float32
+	wBase, wDelta []float32
 }
 
-// spmmPushBitvec is spmvPushBitvec widened to k columns: iterate the block
-// frontier's summary in ascending vertex order and AUX-probe the partition
-// per sender, folding each found column once per live source column.
-func spmmPushBitvec[V, E, M, R any, P BlockProgram[V, E, M, R]](
-	part *sparse.DCSC[E],
+func newSpmmView[V, E, M, R any, P BlockProgram[V, E, M, R]](
+	l sparse.Layered[E], x *BlockVector[M], p P, y *BlockVector[R],
+) spmmView[V, E, M, R, P] {
+	v := spmmView[V, E, M, R, P]{
+		p: p, k: x.k,
+		xw: x.summary.Words(), xcols: x.cols, xvals: x.vals,
+		ysw: y.summary.Words(), ycols: y.cols, yvals: y.vals,
+	}
+	v.xf, v.yf, v.sumOK = sumFoldBlockView(p, x, y)
+	v.fk, v.xg, v.yg = f32FoldBlockView(p, x, y)
+	if v.fk != f32FoldNone {
+		var ok bool
+		if v.wBase, ok = any(l.Base.Val).([]float32); !ok {
+			v.fk = f32FoldNone
+		} else if l.Delta != nil {
+			v.wDelta = any(l.Delta.Val).([]float32)
+		}
+	}
+	return v
+}
+
+// fold folds edges [lo, hi) of one adjacency column j into the output block
+// for every source in cm, through the fused float32 or float64 lane fold
+// when the program qualifies, the generic Mul/Add loop otherwise.
+func (v *spmmView[V, E, M, R, P]) fold(j uint32, cm uint64, ir []uint32, vals []E, w []float32, lo, hi uint32) {
+	k := v.k
+	row := int(j) * k
+	switch {
+	case v.fk != f32FoldNone:
+		foldBlockColumnF32(v.fk, k, cm, v.xg[row:row+k], ir[lo:hi], w[lo:hi:hi], v.ysw, v.ycols, v.yg)
+	case v.sumOK:
+		foldBlockColumnSumF64(k, cm, v.xf[row:row+k], ir[lo:hi], v.ysw, v.ycols, v.yf)
+	default:
+		foldBlockColumn(v.p, k, cm, v.xvals[row:row+k], ir[lo:hi], vals[lo:hi:hi], v.ysw, v.ycols, v.yvals)
+	}
+}
+
+// spmmPull is spmvPull widened to k columns: traverse the partition's live
+// columns in ascending id (the same overlay run merge), probe the block
+// frontier's summary bit, and fold each edge once per live source column.
+// rlo/rhi bound the destination rows (the scheduler's nnz-weighted
+// sub-partition tasks), exactly as in spmvPull.
+func spmmPull[V, E, M, R any, P BlockProgram[V, E, M, R]](
+	l sparse.Layered[E],
 	x *BlockVector[M],
 	p P,
 	y *BlockVector[R],
 	st *localStats,
 	rlo, rhi uint32,
 ) {
-	jc, cp, ir, vals := part.JC, part.CP, part.IR, part.Val
-	if len(jc) == 0 {
-		return
-	}
-	bounded := rlo > part.RowLo || rhi < part.RowHi
-	k := x.k
-	xw := x.summary.Words()
-	xcols, xvals := x.cols, x.vals
-	ysw := y.summary.Words()
-	ycols, yvals := y.cols, y.vals
-	xf, yf, sumOK := sumFoldBlockView(p, x, y)
-	fk, xg, yg := f32FoldBlockView(p, x, y)
-	wv, wvOK := any(vals).([]float32)
-	ffOK := fk != f32FoldNone && wvOK
+	v := newSpmmView(l, x, p, y)
+	bounded := rlo > l.Base.RowLo || rhi < l.Base.RowHi
+	xw, xcols := v.xw, v.xcols
+	runs := liveRuns[E]{base: l.Base, delta: l.Delta}
 	probes, edges := int64(0), int64(0)
-	loW := int(jc[0] >> 6)
-	hiW := int(jc[len(jc)-1]>>6) + 1
-	if hiW > len(xw) {
-		hiW = len(xw)
-	}
-	for wi := loW; wi < hiW; wi++ {
-		w := xw[wi]
-		if w == 0 {
-			skip := kernels.FirstNonzero(xw[wi:hiW])
-			if skip < 0 {
-				break
-			}
-			wi += skip
-			w = xw[wi]
+	for {
+		d, from, to, ok := runs.next()
+		if !ok {
+			break
 		}
-		base := uint32(wi) << 6
-		for w != 0 {
-			j := base + uint32(bits.TrailingZeros64(w))
-			w &= w - 1
-			cm := xcols[j]
-			if cm == 0 {
+		w := v.wBase
+		if d != l.Base {
+			w = v.wDelta
+		}
+		probes += int64(to - from)
+		jc, cp, ir := d.JC[from:to], d.CP[from:to+1], d.IR
+		for ci, j := range jc {
+			if xw[j>>6]&(1<<(j&63)) == 0 {
 				continue
 			}
-			probes++
-			ci, ok := part.FindColumn(j)
-			if !ok {
+			cm := xcols[j]
+			if cm == 0 {
 				continue
 			}
 			lo, hi := cp[ci], cp[ci+1]
-			irc := ir[lo:hi]
-			if ffOK {
-				wc := wv[lo:hi:hi]
-				if bounded {
-					l, r := rowSpan(irc, rlo, rhi)
-					irc, wc = irc[l:r], wc[l:r]
-					if len(irc) == 0 {
-						continue
-					}
-				}
-				edges += int64(len(irc)) * int64(bits.OnesCount64(cm))
-				foldBlockColumnF32(fk, k, cm, xg[int(j)*k:int(j)*k+k], irc, wc, ysw, ycols, yg)
-				continue
-			}
-			vc := vals[lo:hi:hi]
 			if bounded {
-				l, r := rowSpan(irc, rlo, rhi)
-				irc, vc = irc[l:r], vc[l:r]
-				if len(irc) == 0 {
+				if lo, hi = rowSpan(ir, lo, hi, rlo, rhi); lo == hi {
 					continue
 				}
 			}
-			edges += int64(len(irc)) * int64(bits.OnesCount64(cm))
-			if sumOK {
-				foldBlockColumnSumF64(k, cm, xf[int(j)*k:int(j)*k+k], irc, ysw, ycols, yf)
-				continue
-			}
-			xrow := xvals[int(j)*k : int(j)*k+k]
-			foldBlockColumn(p, k, cm, xrow, irc, vc, ysw, ycols, yvals)
+			edges += int64(hi-lo) * int64(bits.OnesCount64(cm))
+			v.fold(j, cm, ir, d.Val, w, lo, hi)
 		}
 	}
 	st.probes += probes
 	st.edges += edges
 }
 
-// spmmPullLayered is the pull SpMM over a base+delta overlay: the layered
-// scalar kernel's two-pointer column merge with the block fold inside. Delta
-// overrides replace base columns; empty overrides are tombstones.
-func spmmPullLayered[V, E, M, R any, P BlockProgram[V, E, M, R]](
+// spmmPush is spmvPush widened to k columns: iterate the block frontier's
+// summary in ascending vertex order and resolve each sender's column
+// delta-first through the AUX indexes, folding each found column once per
+// live source column. Like spmvPush it always runs whole partitions.
+func spmmPush[V, E, M, R any, P BlockProgram[V, E, M, R]](
 	l sparse.Layered[E],
 	x *BlockVector[M],
 	p P,
 	y *BlockVector[R],
 	st *localStats,
 ) {
-	base, delta := l.Base, l.Delta
-	bjc, djc := base.JC, delta.JC
-	k := x.k
-	xw := x.summary.Words()
-	xcols, xvals := x.cols, x.vals
-	ysw := y.summary.Words()
-	ycols, yvals := y.cols, y.vals
-	xf, yf, sumOK := sumFoldBlockView(p, x, y)
+	v := newSpmmView(l, x, p, y)
+	xw, xcols := v.xw, v.xcols
 	probes, edges := int64(0), int64(0)
-	// Run-based merge, like spmvPullBitvecLayered: one SpanLess scan takes
-	// the whole run of base columns below the next delta column.
-	foldLive := func(j uint32, irc []uint32, vc []E) {
-		probes++
-		if xw[j>>6]&(1<<(j&63)) == 0 {
-			return
-		}
-		cm := xcols[j]
-		if cm == 0 {
-			return
-		}
-		edges += int64(len(irc)) * int64(bits.OnesCount64(cm))
-		if sumOK {
-			foldBlockColumnSumF64(k, cm, xf[int(j)*k:int(j)*k+k], irc, ysw, ycols, yf)
-			return
-		}
-		foldBlockColumn(p, k, cm, xvals[int(j)*k:int(j)*k+k], irc, vc, ysw, ycols, yvals)
-	}
-	bi, di := 0, 0
-	for bi < len(bjc) || di < len(djc) {
-		next := uint32(math.MaxUint32)
-		if di < len(djc) {
-			next = djc[di]
-		}
-		for end := bi + kernels.SpanLess(bjc[bi:], next); bi < end; bi++ {
-			lo, hi := base.CP[bi], base.CP[bi+1]
-			foldLive(bjc[bi], base.IR[lo:hi], base.Val[lo:hi:hi])
-		}
-		if di >= len(djc) {
-			break
-		}
-		j := next
-		if bi < len(bjc) && bjc[bi] == j {
-			bi++ // base column overridden
-		}
-		lo, hi := delta.CP[di], delta.CP[di+1]
-		di++
-		if lo == hi {
-			continue // tombstone
-		}
-		foldLive(j, delta.IR[lo:hi], delta.Val[lo:hi:hi])
-	}
-	st.probes += probes
-	st.edges += edges
-}
-
-// spmmPushLayered is the push SpMM over a base+delta overlay: block frontier
-// iteration with delta-first column resolution.
-func spmmPushLayered[V, E, M, R any, P BlockProgram[V, E, M, R]](
-	l sparse.Layered[E],
-	x *BlockVector[M],
-	p P,
-	y *BlockVector[R],
-	st *localStats,
-) {
-	base, delta := l.Base, l.Delta
-	if len(base.JC) == 0 && len(delta.JC) == 0 {
-		return
-	}
-	k := x.k
-	xw := x.summary.Words()
-	xcols, xvals := x.cols, x.vals
-	ysw := y.summary.Words()
-	ycols, yvals := y.cols, y.vals
-	xf, yf, sumOK := sumFoldBlockView(p, x, y)
-	probes, edges := int64(0), int64(0)
-	loCol, hiCol := ^uint32(0), uint32(0)
-	if len(base.JC) > 0 {
-		loCol, hiCol = base.JC[0], base.JC[len(base.JC)-1]
-	}
-	if len(delta.JC) > 0 {
-		loCol = min(loCol, delta.JC[0])
-		hiCol = max(hiCol, delta.JC[len(delta.JC)-1])
-	}
-	loW := int(loCol >> 6)
-	hiW := int(hiCol>>6) + 1
-	if hiW > len(xw) {
-		hiW = len(xw)
-	}
+	loW, hiW := frontierWords(l, len(xw))
 	for wi := loW; wi < hiW; wi++ {
-		w := xw[wi]
-		if w == 0 {
+		wd := xw[wi]
+		if wd == 0 {
 			skip := kernels.FirstNonzero(xw[wi:hiW])
 			if skip < 0 {
 				break
 			}
 			wi += skip
-			w = xw[wi]
+			wd = xw[wi]
 		}
-		base32 := uint32(wi) << 6
-		for w != 0 {
-			j := base32 + uint32(bits.TrailingZeros64(w))
-			w &= w - 1
+		colBase := uint32(wi) << 6
+		for wd != 0 {
+			j := colBase + uint32(bits.TrailingZeros64(wd))
+			wd &= wd - 1
 			cm := xcols[j]
 			if cm == 0 {
 				continue
 			}
 			probes++
-			irc, vc, ok := liveColumn(base, delta, j)
+			d, ci, ok := liveColumn(l.Base, l.Delta, j)
 			if !ok {
 				continue
 			}
-			edges += int64(len(irc)) * int64(bits.OnesCount64(cm))
-			if sumOK {
-				foldBlockColumnSumF64(k, cm, xf[int(j)*k:int(j)*k+k], irc, ysw, ycols, yf)
-				continue
+			w := v.wBase
+			if d != l.Base {
+				w = v.wDelta
 			}
-			foldBlockColumn(p, k, cm, xvals[int(j)*k:int(j)*k+k], irc, vc, ysw, ycols, yvals)
+			lo, hi := d.CP[ci], d.CP[ci+1]
+			edges += int64(hi-lo) * int64(bits.OnesCount64(cm))
+			v.fold(j, cm, d.IR, d.Val, w, lo, hi)
 		}
 	}
 	st.probes += probes

@@ -1,310 +1,103 @@
 package core
 
 import (
-	"math"
-	"math/bits"
-
 	"graphmat/internal/kernels"
 	"graphmat/internal/sparse"
 )
 
-// This file is the overlay-aware half of the kernel layer: the pull and push
-// SpMV kernels over a Layered partition — an immutable base DCSC plus a delta
-// DCSC of whole-column overrides carrying live edge updates. The invariants
-// match the single-layer kernels exactly:
+// This file is the overlay half of the kernel layer: how the pull and push
+// kernels (scalar and block alike) walk a Layered partition — an immutable
+// base DCSC plus an optional delta DCSC of whole-column overrides carrying
+// live edge updates. The invariants are the ones a fresh build of the live
+// edge set would give:
 //
 //  1. columns are visited in ascending column id, merged across the two
 //     layers, with a delta override replacing (never joining) its base
 //     column — so the per-destination Reduce fold order equals what a
-//     from-scratch build of the live edge set would produce, and results on
-//     an overlay are bit-identical to a fresh build;
+//     from-scratch build would produce, and results on an overlay are
+//     bit-identical to a fresh build;
 //  2. an override with zero entries is a tombstone: it masks its base column
 //     and is neither probed nor counted, matching the fresh build in which
 //     the column simply does not exist;
 //  3. the partition's disjoint 64-aligned output row range is untouched —
-//     deltas cover the same row range as their base.
+//     deltas cover the same row range as their base, so row-bounded
+//     (sub-partition) tasks apply their bounds to both layers alike.
 //
-// Partitions without a delta never reach these kernels; the engine
-// dispatches them to the single-layer fast path.
+// A nil Delta is the degenerate overlay: one run over the whole base, and a
+// push lookup that goes straight to the base's AUX index.
 
-// foldColumn folds one live column into the output vector: ProcessMessage on
-// every edge, Reduce on collisions — the shared inner loop of the layered
-// kernels. The bounds of irc/vc are established by the caller's subslicing.
-func foldColumn[V, E, M, R any, P Program[V, E, M, R]](
-	p P, m M, irc []uint32, vc []E, props []V, yw []uint64, yvals []R, dstFree bool,
-) {
-	if dstFree {
-		var zeroV V
-		for k, dst := range irc {
-			r := p.ProcessMessage(m, vc[k], zeroV)
-			w := &yw[dst>>6]
-			bit := uint64(1) << (dst & 63)
-			if *w&bit != 0 {
-				yvals[dst] = p.Reduce(yvals[dst], r)
-			} else {
-				yvals[dst] = r
-				*w |= bit
-			}
-		}
-		return
-	}
-	for k, dst := range irc {
-		r := p.ProcessMessage(m, vc[k], props[dst])
-		w := &yw[dst>>6]
-		bit := uint64(1) << (dst & 63)
-		if *w&bit != 0 {
-			yvals[dst] = p.Reduce(yvals[dst], r)
-		} else {
-			yvals[dst] = r
-			*w |= bit
-		}
-	}
+// liveRuns walks an overlay partition's live columns in ascending id as
+// maximal runs of one layer: each step yields either the run of base
+// columns below the next delta column — found with one arch-dispatched
+// SpanLess scan instead of a per-column two-pointer compare — or one live
+// delta column. Overridden base columns and tombstones are skipped. Vertex
+// ids top out at 2³²−2 (the graph caps vertices at 2³²−1), so the merge
+// never needs a sentinel column id.
+type liveRuns[E any] struct {
+	base, delta *sparse.DCSC[E]
+	bi, di      int
 }
 
-// liveColumn resolves column j of an overlay for the push kernels: the delta
-// override when present (authoritative, possibly an empty tombstone), the
-// base column otherwise. Both lookups ride the AUX index, so the probe stays
-// ~O(1) whichever layer owns the column.
-func liveColumn[E any](base, delta *sparse.DCSC[E], j uint32) (irc []uint32, vc []E, ok bool) {
-	if ci, found := delta.FindColumn(j); found {
-		lo, hi := delta.CP[ci], delta.CP[ci+1]
-		if lo == hi {
-			return nil, nil, false // tombstone
-		}
-		return delta.IR[lo:hi], delta.Val[lo:hi:hi], true
+// next returns the next run: columns [from, to) of layer d. ok is false once
+// the partition is exhausted.
+func (r *liveRuns[E]) next() (d *sparse.DCSC[E], from, to int, ok bool) {
+	bjc, bi, di := r.base.JC, r.bi, r.di
+	var djc, dcp []uint32
+	if r.delta != nil {
+		djc, dcp = r.delta.JC, r.delta.CP
 	}
-	if ci, found := base.FindColumn(j); found {
-		lo, hi := base.CP[ci], base.CP[ci+1]
-		return base.IR[lo:hi], base.Val[lo:hi:hi], true
-	}
-	return nil, nil, false
-}
-
-// spmvPullBitvecLayered is the pull kernel over an overlay: a run-based merge
-// of the base and delta column lists, probing the frontier bitvector per live
-// column. Instead of a per-column two-pointer compare, each merge step takes
-// the whole run of base columns below the next delta column in one
-// arch-dispatched SpanLess scan, then the delta column itself. Column visit
-// order — and therefore the fold order and the probes/edges tallies — is
-// identical to the two-pointer walk. Vertex ids top out at 2³²−2 (the graph
-// caps vertices at 2³²−1), so MaxUint32 is a safe "no more deltas" sentinel.
-func spmvPullBitvecLayered[V, E, M, R any, P Program[V, E, M, R]](
-	l sparse.Layered[E],
-	x *sparse.Vector[M],
-	props []V,
-	p P,
-	y *sparse.Vector[R],
-	st *localStats,
-) {
-	base, delta := l.Base, l.Delta
-	bjc, djc := base.JC, delta.JC
-	xw := x.Mask().Words()
-	xvals := x.Values()
-	yw := y.Mask().Words()
-	yvals := y.Values()
-	_, dstFree := any(p).(DstIndependent)
-	sf := sumFoldScalarView(p, x, y)
-	probes, edges := int64(0), int64(0)
-	bi, di := 0, 0
-	for bi < len(bjc) || di < len(djc) {
-		next := uint32(math.MaxUint32)
-		if di < len(djc) {
-			next = djc[di]
+	for di < len(djc) {
+		j := djc[di]
+		if end := bi + kernels.SpanLess(bjc[bi:], j); end > bi {
+			r.bi = end
+			return r.base, bi, end, true
 		}
-		for end := bi + kernels.SpanLess(bjc[bi:], next); bi < end; bi++ {
-			j := bjc[bi]
-			probes++
-			if xw[j>>6]&(1<<(j&63)) == 0 {
-				continue
-			}
-			lo, hi := base.CP[bi], base.CP[bi+1]
-			edges += int64(hi - lo)
-			if sf.ok {
-				kernels.ScatterAddF64(yw, sf.y, base.IR[lo:hi], sf.x[j])
-				continue
-			}
-			foldColumn(p, xvals[j], base.IR[lo:hi], base.Val[lo:hi:hi], props, yw, yvals, dstFree)
-		}
-		if di >= len(djc) {
-			break
-		}
-		j := next
 		if bi < len(bjc) && bjc[bi] == j {
 			bi++ // base column overridden
 		}
-		lo, hi := delta.CP[di], delta.CP[di+1]
 		di++
-		if lo == hi {
-			continue // tombstone: not a live column, not a probe
+		if dcp[di-1] != dcp[di] {
+			r.bi, r.di = bi, di
+			return r.delta, di - 1, di, true
 		}
-		probes++
-		if xw[j>>6]&(1<<(j&63)) == 0 {
-			continue
-		}
-		edges += int64(hi - lo)
-		if sf.ok {
-			kernels.ScatterAddF64(yw, sf.y, delta.IR[lo:hi], sf.x[j])
-			continue
-		}
-		foldColumn(p, xvals[j], delta.IR[lo:hi], delta.Val[lo:hi:hi], props, yw, yvals, dstFree)
+		// Tombstone: not a live column, not a probe.
 	}
-	st.probes += probes
-	st.edges += edges
+	r.bi, r.di = len(bjc), di
+	if bi < len(bjc) {
+		return r.base, bi, len(bjc), true
+	}
+	return nil, 0, 0, false
 }
 
-// spmvPushBitvecLayered is the push SpMSpV over an overlay: iterate the
-// frontier in ascending index order and resolve each column through the
-// delta-first AUX lookup.
-func spmvPushBitvecLayered[V, E, M, R any, P Program[V, E, M, R]](
-	l sparse.Layered[E],
-	x *sparse.Vector[M],
-	props []V,
-	p P,
-	y *sparse.Vector[R],
-	st *localStats,
-) {
-	base, delta := l.Base, l.Delta
-	if len(base.JC) == 0 && len(delta.JC) == 0 {
-		return
+// liveColumn resolves column j of an overlay for the block push kernel: the
+// delta override when present (authoritative; a tombstone reports ok=false),
+// the base column otherwise. Both lookups ride the AUX index, so the probe
+// stays ~O(1) whichever layer owns the column.
+func liveColumn[E any](base, delta *sparse.DCSC[E], j uint32) (d *sparse.DCSC[E], ci int, ok bool) {
+	if delta != nil {
+		if ci, ok := delta.FindColumn(j); ok {
+			return delta, ci, delta.CP[ci] != delta.CP[ci+1]
+		}
 	}
-	xw := x.Mask().Words()
-	xvals := x.Values()
-	yw := y.Mask().Words()
-	yvals := y.Values()
-	_, dstFree := any(p).(DstIndependent)
-	sf := sumFoldScalarView(p, x, y)
-	probes, edges := int64(0), int64(0)
-	// Only frontier words overlapping either layer's stored column range can
-	// match.
+	ci, ok = base.FindColumn(j)
+	return base, ci, ok
+}
+
+// frontierWords returns the range [lo, hi) of frontier words (of nwords)
+// overlapping either layer's stored column range — the only words a push
+// kernel can match. The range is empty for a partition with no columns.
+func frontierWords[E any](l sparse.Layered[E], nwords int) (lo, hi int) {
 	loCol, hiCol := ^uint32(0), uint32(0)
-	if len(base.JC) > 0 {
-		loCol, hiCol = base.JC[0], base.JC[len(base.JC)-1]
-	}
-	if len(delta.JC) > 0 {
-		loCol = min(loCol, delta.JC[0])
-		hiCol = max(hiCol, delta.JC[len(delta.JC)-1])
-	}
-	loW := int(loCol >> 6)
-	hiW := int(hiCol>>6) + 1
-	if hiW > len(xw) {
-		hiW = len(xw)
-	}
-	for wi := loW; wi < hiW; wi++ {
-		w := xw[wi]
-		if w == 0 {
-			skip := kernels.FirstNonzero(xw[wi:hiW])
-			if skip < 0 {
-				break
-			}
-			wi += skip
-			w = xw[wi]
-		}
-		base32 := uint32(wi) << 6
-		for w != 0 {
-			j := base32 + uint32(bits.TrailingZeros64(w))
-			w &= w - 1
-			probes++
-			irc, vc, ok := liveColumn(base, delta, j)
-			if !ok {
-				continue
-			}
-			edges += int64(len(irc))
-			if sf.ok {
-				kernels.ScatterAddF64(yw, sf.y, irc, sf.x[j])
-				continue
-			}
-			foldColumn(p, xvals[j], irc, vc, props, yw, yvals, dstFree)
+	for _, d := range [2]*sparse.DCSC[E]{l.Base, l.Delta} {
+		if d != nil && len(d.JC) > 0 {
+			loCol = min(loCol, d.JC[0])
+			hiCol = max(hiCol, d.JC[len(d.JC)-1])
 		}
 	}
-	st.probes += probes
-	st.edges += edges
-}
-
-// spmvPullSortedLayered is the layered pull kernel against the sorted-tuple
-// message vector: same merged column walk, binary-search presence probe.
-func spmvPullSortedLayered[V, E, M, R any, P Program[V, E, M, R]](
-	l sparse.Layered[E],
-	xs *sparse.SortedVector[M],
-	props []V,
-	p P,
-	y *sparse.Vector[R],
-	st *localStats,
-) {
-	base, delta := l.Base, l.Delta
-	bjc, djc := base.JC, delta.JC
-	yw := y.Mask().Words()
-	yvals := y.Values()
-	_, dstFree := any(p).(DstIndependent)
-	probes, edges := int64(0), int64(0)
-	bi, di := 0, 0
-	for bi < len(bjc) || di < len(djc) {
-		next := uint32(math.MaxUint32)
-		if di < len(djc) {
-			next = djc[di]
-		}
-		for end := bi + kernels.SpanLess(bjc[bi:], next); bi < end; bi++ {
-			j := bjc[bi]
-			probes++
-			if !xs.Has(j) {
-				continue
-			}
-			lo, hi := base.CP[bi], base.CP[bi+1]
-			edges += int64(hi - lo)
-			foldColumn(p, xs.Get(j), base.IR[lo:hi], base.Val[lo:hi:hi], props, yw, yvals, dstFree)
-		}
-		if di >= len(djc) {
-			break
-		}
-		j := next
-		if bi < len(bjc) && bjc[bi] == j {
-			bi++
-		}
-		lo, hi := delta.CP[di], delta.CP[di+1]
-		di++
-		if lo == hi {
-			continue
-		}
-		probes++
-		if !xs.Has(j) {
-			continue
-		}
-		edges += int64(hi - lo)
-		foldColumn(p, xs.Get(j), delta.IR[lo:hi], delta.Val[lo:hi:hi], props, yw, yvals, dstFree)
+	if loCol > hiCol {
+		return 0, 0
 	}
-	st.probes += probes
-	st.edges += edges
-}
-
-// spmvPushSortedLayered is the layered push kernel against the sorted-tuple
-// message vector: the frontier is already an ascending entry list, walked
-// directly with delta-first column resolution.
-func spmvPushSortedLayered[V, E, M, R any, P Program[V, E, M, R]](
-	l sparse.Layered[E],
-	xs *sparse.SortedVector[M],
-	props []V,
-	p P,
-	y *sparse.Vector[R],
-	st *localStats,
-) {
-	base, delta := l.Base, l.Delta
-	if len(base.JC) == 0 && len(delta.JC) == 0 {
-		return
-	}
-	yw := y.Mask().Words()
-	yvals := y.Values()
-	_, dstFree := any(p).(DstIndependent)
-	probes, edges := int64(0), int64(0)
-	xs.Iterate(func(j uint32, m M) {
-		probes++
-		irc, vc, ok := liveColumn(base, delta, j)
-		if !ok {
-			return
-		}
-		edges += int64(len(irc))
-		foldColumn(p, m, irc, vc, props, yw, yvals, dstFree)
-	})
-	st.probes += probes
-	st.edges += edges
+	return int(loCol >> 6), min(int(hiCol>>6)+1, nwords)
 }
 
 // AddLayers folds a layered partition set into the Auto cost model using the

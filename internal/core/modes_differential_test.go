@@ -133,7 +133,7 @@ var (
 func TestModesDifferentialSSSP(t *testing.T) {
 	for _, d := range diffGraphs() {
 		t.Run(d.name, func(t *testing.T) {
-			runDifferentialWS(t, d, ssspProg{}, Bitvector)
+			runDifferentialWS(t, d, ssspProg{})
 		})
 	}
 }
@@ -141,7 +141,7 @@ func TestModesDifferentialSSSP(t *testing.T) {
 func TestModesDifferentialDirectionIn(t *testing.T) {
 	for _, d := range diffGraphs() {
 		t.Run(d.name, func(t *testing.T) {
-			runDifferentialWS(t, d, inDir{}, Bitvector)
+			runDifferentialWS(t, d, inDir{})
 		})
 	}
 }
@@ -149,15 +149,42 @@ func TestModesDifferentialDirectionIn(t *testing.T) {
 func TestModesDifferentialDirectionBoth(t *testing.T) {
 	for _, d := range diffGraphs() {
 		t.Run(d.name, func(t *testing.T) {
-			runDifferentialWS(t, d, bothDir{}, Bitvector)
+			runDifferentialWS(t, d, bothDir{})
 		})
 	}
 }
 
+// TestModesDifferentialSortedVector covers the sorted message vector on the
+// one path that still runs it, the boxed (naive) dispatch of the Figure 7
+// ablation: superstep by superstep, its properties and frontiers must match
+// the inlined bitvector pull bit for bit.
 func TestModesDifferentialSortedVector(t *testing.T) {
 	for _, d := range diffGraphs() {
 		t.Run(d.name, func(t *testing.T) {
-			runDifferentialWS(t, d, ssspProg{}, Sorted)
+			ref := buildDiff(t, d, graph.Out, 5)
+			got := buildDiff(t, d, graph.Out, 5)
+			for step := 1; step <= 64; step++ {
+				refStats, err := Run(ref, ssspProg{}, Config{Threads: 3, MaxIterations: 1, Mode: Pull})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := Run(got, ssspProg{}, Config{Threads: 3, MaxIterations: 1, Vector: Sorted, Dispatch: Boxed}); err != nil {
+					t.Fatal(err)
+				}
+				for v, want := range ref.Props() {
+					if g := got.Prop(uint32(v)); g != want {
+						t.Fatalf("%s step %d: prop[%d] boxed sorted=%v bitvector pull=%v", d.name, step, v, g, want)
+					}
+				}
+				for w, want := range ref.Active().Words() {
+					if got.Active().Words()[w] != want {
+						t.Fatalf("%s step %d: frontier word %d differs", d.name, step, w)
+					}
+				}
+				if refStats.Reason == Converged {
+					return
+				}
+			}
 		})
 	}
 }
@@ -210,7 +237,7 @@ func TestModesDifferentialBFSFastPath(t *testing.T) {
 // (MaxIterations=1 per call) under pull, push and auto, through
 // RunWithWorkspace so ws.y is inspectable, and asserts bit-identical
 // properties, frontiers and y vectors at every superstep boundary.
-func runDifferentialWS[P Program[float32, float32, float32, float32]](t *testing.T, d diffGraph, p P, kind VectorKind) {
+func runDifferentialWS[P Program[float32, float32, float32, float32]](t *testing.T, d diffGraph, p P) {
 	t.Helper()
 	modes := []Mode{Pull, Push, Auto}
 	dirs := p.Direction()
@@ -218,7 +245,7 @@ func runDifferentialWS[P Program[float32, float32, float32, float32]](t *testing
 	wss := make([]*Workspace[float32, float32], len(modes))
 	for i := range modes {
 		graphs[i] = buildDiff(t, d, dirs, 5)
-		wss[i] = NewWorkspace[float32, float32](int(graphs[i].NumVertices()), kind)
+		wss[i] = NewWorkspace[float32, float32](int(graphs[i].NumVertices()), Bitvector)
 	}
 	for step := 1; step <= 64; step++ {
 		converged := false
@@ -226,7 +253,7 @@ func runDifferentialWS[P Program[float32, float32, float32, float32]](t *testing
 		var refActive, refYMask []uint64
 		var refYVals []float32
 		for i, mode := range modes {
-			cfg := Config{Threads: 3, MaxIterations: 1, Vector: kind, Mode: mode}
+			cfg := Config{Threads: 3, MaxIterations: 1, Mode: mode}
 			stats, err := RunWithWorkspace(graphs[i], p, cfg, wss[i])
 			if err != nil {
 				t.Fatalf("%s mode %s step %d: %v", d.name, mode, step, err)
@@ -315,48 +342,5 @@ func TestModeJSONRoundTrip(t *testing.T) {
 	}
 	if s := fmt.Sprintf("%s/%s/%s", Auto, Pull, Push); s != "auto/pull/push" {
 		t.Errorf("mode names: %s", s)
-	}
-}
-
-// TestMultiplyPartitionNoAux covers the exported kernel seam with a
-// hand-assembled DCSC that lacks the AUX index: the push kernel must fall
-// back to binary search, not panic, and still match pull bit for bit.
-func TestMultiplyPartitionNoAux(t *testing.T) {
-	coo := gen.RMAT(gen.RMATOptions{Scale: 7, EdgeFactor: 4, Seed: 2, MaxWeight: 9})
-	coo.SortColMajor()
-	coo.DedupKeepFirst()
-	full := sparse.BuildDCSC(coo, 0, coo.NRows)
-	bare := &sparse.DCSC[float32]{
-		NRows: full.NRows, NCols: full.NCols,
-		JC: full.JC, CP: full.CP, IR: full.IR, Val: full.Val,
-		RowLo: full.RowLo, RowHi: full.RowHi,
-	}
-	n := int(coo.NRows)
-	props := make([]float32, n)
-	x := sparse.NewVector[float32](n)
-	for v := uint32(0); v < uint32(n); v += 3 {
-		x.Set(v, float32(v))
-	}
-	run := func(part *sparse.DCSC[float32], mode Mode) *sparse.Vector[float32] {
-		y := sparse.NewVector[float32](n)
-		MultiplyPartition(mode, part, x, props, ssspProg{}, y)
-		return y
-	}
-	ref := run(full, Pull)
-	for _, c := range []struct {
-		name string
-		got  *sparse.Vector[float32]
-	}{
-		{"push+aux", run(full, Push)},
-		{"push-noaux", run(bare, Push)},
-		{"pull-noaux", run(bare, Pull)},
-	} {
-		for v := uint32(0); v < uint32(n); v++ {
-			rv, rok := ref.GetChecked(v)
-			gv, gok := c.got.GetChecked(v)
-			if rok != gok || (rok && rv != gv) {
-				t.Fatalf("%s: y[%d] = (%v,%v), want (%v,%v)", c.name, v, gv, gok, rv, rok)
-			}
-		}
 	}
 }

@@ -243,6 +243,9 @@ func ctxReason(err error) StopReason {
 func RunContext[V, E, M, R any, P Program[V, E, M, R]](
 	ctx context.Context, g *graph.Graph[V, E], p P, cfg Config, ws *Workspace[M, R], opts ...RunOption,
 ) (Stats, error) {
+	if err := cfg.check(); err != nil {
+		return Stats{}, err
+	}
 	cfg = cfg.withDefaults()
 	var ro runOptions
 	for _, opt := range opts {

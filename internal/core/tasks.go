@@ -29,9 +29,9 @@ type spmvTask struct {
 type taskPlan struct {
 	// whole is partition-granular: one task per layer, in layer order.
 	whole []spmvTask
-	// shaped is the nnz-weighted list: heavy single-layer partitions are
-	// split into 64-aligned destination-row sub-ranges of roughly equal
-	// live-edge weight; light and layered partitions stay whole.
+	// shaped is the nnz-weighted list: heavy partitions are split into
+	// 64-aligned destination-row sub-ranges of roughly equal live-edge
+	// weight; light partitions stay whole.
 	shaped []spmvTask
 }
 
@@ -58,8 +58,10 @@ const (
 // shapeMinGrain); partitions above twice the grain are split at
 // destination-row boundaries chosen by per-row nnz weight — the same
 // balance-and-64-align cut PartitionRows applies at build time, here at
-// sub-partition scale. Only single-layer partitions split (the layered
-// merge kernels are partition-granular); delta overlays stay whole.
+// sub-partition scale. Partitions with a delta overlay split like the rest:
+// the cut is computed on the base's row weights (the overlay is a small
+// fraction of a partition between compactions), and the pull kernels apply
+// the row bounds to both layers.
 //
 // The plan depends only on the pinned structures and the run config, so
 // repeated runs shape identically — engine tallies that count per-task
@@ -85,7 +87,7 @@ func shapeTasks[E any](layers []sparse.Layered[E], workers int, rt Runtime) task
 	split := false
 	for i, l := range layers {
 		w := l.LiveNNZ()
-		if l.Delta != nil || w <= 2*grain {
+		if w <= 2*grain {
 			shaped = append(shaped, plan.whole[i])
 			continue
 		}
@@ -101,7 +103,7 @@ func shapeTasks[E any](layers []sparse.Layered[E], workers int, rt Runtime) task
 		// the edge work it buys balance for: column-rich hypersparse
 		// partitions (few edges per live column) stay coarse, edge-dense
 		// ones split freely.
-		if c := part.NZColumns(); c > 0 && s > w/(shapeSweepCost*c) {
+		if c := l.LiveNZColumns(); c > 0 && s > w/(shapeSweepCost*c) {
 			s = w / (shapeSweepCost * c)
 		}
 		// 64-aligned boundaries bound the useful split count: sub-ranges
@@ -132,12 +134,12 @@ func shapeTasks[E any](layers []sparse.Layered[E], workers int, rt Runtime) task
 // pick selects one superstep's task list. Shaped tasks serve pull
 // supersteps over the bitvector frontier: the column-sweep bill is fixed,
 // so cutting heavy partitions buys balance for a cheap per-column row
-// search. Push supersteps and the sorted-vector ablation stay
-// partition-granular — push work is frontier-proportional, and splitting
-// would multiply the per-frontier-vertex probe bill by the split factor
-// (the adaptive-grain rule: sparse-frontier supersteps must not shatter).
-func (tp *taskPlan) pick(mode Mode, sorted bool) []spmvTask {
-	if mode == Push || sorted {
+// search. Push supersteps stay partition-granular — push work is
+// frontier-proportional, and splitting would multiply the
+// per-frontier-vertex probe bill by the split factor (the adaptive-grain
+// rule: sparse-frontier supersteps must not shatter).
+func (tp *taskPlan) pick(mode Mode) []spmvTask {
+	if mode == Push {
 		return tp.whole
 	}
 	return tp.shaped

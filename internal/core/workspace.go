@@ -18,20 +18,15 @@ type Workspace[M, R any] struct {
 	n    int
 	kind VectorKind
 	x    *sparse.Vector[M]
-	xs   *sparse.SortedVector[M]
 	y    *sparse.Vector[R]
 }
 
-// NewWorkspace allocates scratch for graphs of n vertices using the given
-// message-vector representation.
+// NewWorkspace allocates scratch for graphs of n vertices, tagged with the
+// configuration's message-vector kind. The inlined engine runs only the
+// bitvector (a Sorted configuration is rejected before it reaches the
+// workspace), so the scratch itself is the same for either kind.
 func NewWorkspace[M, R any](n int, kind VectorKind) *Workspace[M, R] {
-	ws := &Workspace[M, R]{n: n, kind: kind, y: sparse.NewVector[R](n)}
-	if kind == Bitvector {
-		ws.x = sparse.NewVector[M](n)
-	} else {
-		ws.xs = sparse.NewSortedVector[M](n)
-	}
-	return ws
+	return &Workspace[M, R]{n: n, kind: kind, x: sparse.NewVector[M](n), y: sparse.NewVector[R](n)}
 }
 
 // Size reports the vertex count the workspace was allocated for.
@@ -57,12 +52,7 @@ func (ws *Workspace[M, R]) Check(n int, kind VectorKind) error {
 // every superstep, so Reset is not required between runs; pools call it when
 // recycling a workspace so stale messages never leak across queries.
 func (ws *Workspace[M, R]) Reset() {
-	if ws.x != nil {
-		ws.x.Reset()
-	}
-	if ws.xs != nil {
-		ws.xs.Reset()
-	}
+	ws.x.Reset()
 	ws.y.Reset()
 }
 

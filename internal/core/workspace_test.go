@@ -1,9 +1,11 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"graphmat/internal/graph"
+	"graphmat/internal/sparse"
 )
 
 func TestWorkspaceReuseMatchesFreshRuns(t *testing.T) {
@@ -48,13 +50,30 @@ func TestWorkspaceBoxedPathIgnoresWorkspace(t *testing.T) {
 	}
 }
 
+// TestWorkspaceSortedKind pins that the sorted message vector is a
+// boxed-only ablation: the inlined engine and the single-shot SpMV reject
+// it, with or without a matching workspace, before touching the graph.
 func TestWorkspaceSortedKind(t *testing.T) {
 	g := fig3Graph(t, graph.Options{})
 	ws := NewWorkspace[float32, float32](5, Sorted)
-	if _, err := RunWithWorkspace(g, ssspProg{}, Config{Vector: Sorted}, ws); err != nil {
-		t.Fatal(err)
+	if _, err := RunWithWorkspace(g, ssspProg{}, Config{Vector: Sorted}, ws); err == nil {
+		t.Error("Sorted with inlined dispatch accepted")
+	}
+	if _, err := RunWithWorkspace(g, ssspProg{}, Config{Vector: Sorted}, nil); err == nil {
+		t.Error("Sorted with inlined dispatch accepted without a workspace")
+	}
+	if g.Prop(4) != inf || g.Prop(0) != 0 {
+		t.Errorf("rejected run touched the graph: dist = %v", g.Props())
+	}
+	x := sparse.NewVector[float32](5)
+	x.Set(0, 0)
+	if _, err := SpMVContext[float32, float32, float32, float32](context.Background(), g, x, ssspProg{}, Config{Vector: Sorted}); err == nil {
+		t.Error("SpMVContext accepted Sorted with inlined dispatch")
+	}
+	if _, err := RunWithWorkspace(g, ssspProg{}, Config{Vector: Sorted, Dispatch: Boxed}, ws); err != nil {
+		t.Fatalf("boxed sorted run rejected: %v", err)
 	}
 	if g.Prop(4) != 4 {
-		t.Errorf("dist[E] = %v", g.Prop(4))
+		t.Errorf("boxed sorted dist[E] = %v", g.Prop(4))
 	}
 }

@@ -245,7 +245,7 @@ func (g *Graph[V, E]) InPartitions() []*sparse.DCSC[E] {
 
 // OutLayers returns the out-edge traversal structure as base+delta pairs —
 // the view the engine kernels iterate. Partitions without pending mutations
-// have a nil Delta and take the single-layer fast path.
+// have a nil Delta, which the kernels walk as a single run of base columns.
 func (g *Graph[V, E]) OutLayers() []sparse.Layered[E] {
 	return zipLayers(g.OutPartitions(), g.outDelta)
 }

@@ -206,8 +206,8 @@ func FirstNonzero(w []uint64) int { return active.firstNonzero(w) }
 
 // SpanLess returns the length of the longest prefix of a whose elements are
 // < v. On a sorted slice this is the lower bound of v — the run scan the
-// layered kernels use to turn the base/delta two-pointer column merge into
-// whole runs of base columns per delta column.
+// engine's overlay walk uses to turn the base/delta two-pointer column merge
+// into whole runs of base columns per delta column.
 func SpanLess(a []uint32, v uint32) int { return active.spanLess(a, v) }
 
 // BlockAddF64 is the dense float64 fold of the block (SpMM) kernels for

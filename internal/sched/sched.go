@@ -332,7 +332,7 @@ func (p *Pool) nextJob(wid int) *job {
 // owner end, then steal from the thief end of the others.
 func (p *Pool) work(wid int, j *job) {
 	t0 := time.Now()
-	var ran, stolen int64
+	var popped, stolen int64
 	for {
 		if si := int(j.claim.Add(1) - 1); si < len(j.spans) {
 			for {
@@ -340,7 +340,8 @@ func (p *Pool) work(wid int, j *job) {
 				if !ok {
 					break
 				}
-				p.exec(j, task, wid, &ran)
+				popped++
+				p.exec(j, task, wid)
 			}
 			continue
 		}
@@ -357,30 +358,34 @@ func (p *Pool) work(wid int, j *job) {
 		if si < 0 {
 			break
 		}
+		popped++
 		stolen++
-		p.exec(j, task, wid, &ran)
+		p.exec(j, task, wid)
 	}
-	if ran == 0 && stolen == 0 {
+	if popped == 0 {
 		return
 	}
 	busy := time.Since(t0).Nanoseconds()
 	c := &p.counters[wid]
-	c.tasks.Add(ran)
 	c.steals.Add(stolen)
 	c.busyNS.Add(busy)
 	if t := j.tally; t != nil {
-		t.Tasks.Add(ran)
 		t.Steals.Add(stolen)
 		t.BusyNS.Add(busy)
 	}
 }
 
 // exec runs (or, once stopped, abandons) one task and completes the job
-// when it was the last.
-func (p *Pool) exec(j *job, task, wid int, ran *int64) {
+// when it was the last. The task is counted before the completion signal,
+// so task counts are exact once Run returns; steals and busy time are added
+// when each participant leaves the job, possibly just after.
+func (p *Pool) exec(j *job, task, wid int) {
 	if j.stop == nil || j.stop.Load() == 0 {
 		j.fn(task, wid)
-		*ran++
+		p.counters[wid].tasks.Add(1)
+		if t := j.tally; t != nil {
+			t.Tasks.Add(1)
+		}
 	}
 	if j.remaining.Add(-1) == 0 {
 		close(j.done)

@@ -158,7 +158,15 @@ func (p *persister) checkpoint(g *GraphEntry) error {
 	}
 
 	p.mu.Lock()
-	man := &snap.Manifest{Tag: tag, Updates: updates, Files: files, WAL: walName, Prev: p.man}
+	// Link the outgoing generation one level deep, as WriteManifest stores
+	// it: the chain collectGarbage keeps is then exactly current + previous.
+	var prev *snap.Manifest
+	if p.man != nil {
+		pm := *p.man
+		pm.Prev = nil
+		prev = &pm
+	}
+	man := &snap.Manifest{Tag: tag, Updates: updates, Files: files, WAL: walName, Prev: prev}
 	if err := snap.WriteManifest(p.dir, man); err != nil {
 		p.mu.Unlock()
 		nw.Close()
@@ -380,12 +388,7 @@ func (r *Registry) loadGeneration(name, source, dir string, gen *snap.Manifest, 
 		if err != nil {
 			return nil, fmt.Errorf("persist: opening %s from %s: %w", algo, file, err)
 		}
-		ai := &algoInstance{spec: spec, inst: inst}
-		ai.pool.New = func() any {
-			ai.allocs.Add(1)
-			return ai.inst.NewScratch()
-		}
-		entry.insts[algo] = ai
+		entry.insts[algo] = &algoInstance{spec: spec, inst: inst}
 		instTags[algo] = sf.Image().Tag
 	}
 

@@ -337,3 +337,62 @@ func TestPersistStatsSurface(t *testing.T) {
 		t.Errorf("persistent entry stats = %+v", ps)
 	}
 }
+
+// TestPersistGCKeepsTwoGenerations checks that checkpoint garbage
+// collection keeps exactly the current and previous generations: after
+// five checkpoints at distinct epochs, the data directory holds only the
+// files the two manifests name.
+func TestPersistGCKeepsTwoGenerations(t *testing.T) {
+	reg := NewRegistry(0, 1, t.TempDir())
+	entry, err := reg.AddCOO("g", "seed", persistTestAdj(48))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A built instance puts an instance file in every generation.
+	if _, err := entry.Run("bfs", algorithms.Params{Source: 0}); err != nil {
+		t.Fatal(err)
+	}
+	for i := uint32(0); i < 5; i++ {
+		if _, _, err := entry.ApplyEdges([]algorithms.EdgeUpdate{{Src: i, Dst: i + 20, Val: 1}}); err != nil {
+			t.Fatal(err)
+		}
+		entry.updMu.Lock()
+		err := entry.pers.checkpoint(entry)
+		entry.updMu.Unlock()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if m := entry.pers.man; m.Prev == nil || m.Prev.Prev != nil {
+		t.Fatalf("in-memory manifest chain is not exactly two generations deep")
+	}
+
+	dir := entry.pers.dir
+	man, err := snap.ReadManifest(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]bool{snap.CurrentFile: true}
+	for m := man; m != nil; m = m.Prev {
+		for _, f := range m.Files {
+			want[f] = true
+		}
+		want[m.WAL] = true
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	have := map[string]bool{}
+	for _, e := range entries {
+		have[e.Name()] = true
+		if !want[e.Name()] {
+			t.Errorf("stale file %s survived garbage collection", e.Name())
+		}
+	}
+	for f := range want {
+		if !have[f] {
+			t.Errorf("file %s of a kept generation is missing", f)
+		}
+	}
+}

@@ -22,7 +22,7 @@ import (
 // entry keeps the raw adjacency triples as an immutable master copy;
 // algorithm-specific property graphs (which preprocess the edges in place)
 // are built lazily from clones and cached per algorithm, each with its own
-// workspace pool.
+// reused workspace.
 type Registry struct {
 	partitions int
 	workers    int
@@ -71,20 +71,22 @@ type GraphEntry struct {
 	pers *persister
 }
 
-// algoInstance is one built (graph, algorithm) pair: the property graph, a
-// sync.Pool of engine workspaces reused across queries, and run tallies. Run
-// serializes on runMu because the engine mutates the property graph's vertex
-// state; the workspace pool means back-to-back queries reuse scratch instead
+// algoInstance is one built (graph, algorithm) pair: the property graph, the
+// engine workspace reused across queries, and run tallies. Run serializes on
+// runMu because the engine mutates the property graph's vertex state, so one
+// workspace serves every query: back-to-back queries reuse scratch instead
 // of paying two vertex-sized allocations each (the RedisGraph-style shared
 // engine state this server exists to provide).
 type algoInstance struct {
 	spec algorithms.Spec
 	inst algorithms.Instance
 
-	runMu  sync.Mutex
-	pool   sync.Pool
-	allocs atomic.Int64 // workspaces created by the pool
-	runs   atomic.Int64
+	runMu sync.Mutex
+	// scratch is the instance's workspace, created by the first run; runMu
+	// guards it.
+	scratch any
+	allocs  atomic.Int64 // workspaces created (at most one)
+	runs    atomic.Int64
 
 	// batchRuns counts multi-source block runs; batchedSources the total
 	// source columns they advanced. batchedSources / batchRuns is the mean
@@ -179,8 +181,8 @@ func (r *Registry) publish(entry *GraphEntry) (*GraphEntry, error) {
 
 // AddCOO registers already-parsed adjacency triples under name — the upload
 // path, where the edges arrived in the request body rather than from a
-// Source. The entry lazily builds per-algorithm property graphs and workspace
-// pools exactly like a Source-loaded graph. The triples are normalized in
+// Source. The entry lazily builds per-algorithm property graphs and
+// workspaces exactly like a Source-loaded graph. The triples are normalized in
 // place into the canonical master form (every builder deduplicates the same
 // way, so results are unchanged); edge updates then apply by linear merge.
 func (r *Registry) AddCOO(name, source string, adj *sparse.COO[float32]) (*GraphEntry, error) {
@@ -290,7 +292,7 @@ func (g *GraphEntry) UpdatesApplied() int64 {
 // ApplyEdges applies one batch of raw edge updates to the entry: the master
 // adjacency advances one epoch and every BUILT per-algorithm property graph
 // receives the batch through its own preprocessing (a new store snapshot —
-// queries in flight keep the epoch they pinned; workspace pools survive, as
+// queries in flight keep the epoch they pinned; workspaces survive, as
 // updates never change the vertex count). Instances built later start from
 // the updated master, so built-before and built-after converge on the same
 // edge set; re-application races during a concurrent lazy build are benign
@@ -422,17 +424,13 @@ func (g *GraphEntry) lockedInstance(algo string) (*algoInstance, bool, error) {
 		return nil, false, fmt.Errorf("building %s graph for %s: %w", algo, g.name, err)
 	}
 	ai := &algoInstance{spec: spec, inst: inst}
-	ai.pool.New = func() any {
-		ai.allocs.Add(1)
-		return ai.inst.NewScratch()
-	}
 	g.insts[algo] = ai
 	return ai, true, nil
 }
 
 // Run executes one query. It serializes on the instance (vertex state is
-// shared), drives the engine through a pooled workspace, and accumulates the
-// run's engine stats into the instance tallies.
+// shared), drives the engine through the instance's reused workspace, and
+// accumulates the run's engine stats into the instance tallies.
 func (g *GraphEntry) Run(algo string, p algorithms.Params) (algorithms.Result, error) {
 	return g.RunContext(context.Background(), algo, p, nil)
 }
@@ -450,14 +448,16 @@ func (g *GraphEntry) RunContext(ctx context.Context, algo string, p algorithms.P
 	}
 	ai.runMu.Lock()
 	defer ai.runMu.Unlock()
-	scratch := ai.pool.Get()
+	if ai.scratch == nil {
+		ai.scratch = ai.inst.NewScratch()
+		ai.allocs.Add(1)
+	}
 	start := time.Now()
-	res, err := ai.inst.RunContext(ctx, p, scratch, obs)
+	res, err := ai.inst.RunContext(ctx, p, ai.scratch, obs)
 	wall := time.Since(start).Seconds()
-	if rs, ok := scratch.(interface{ Reset() }); ok {
+	if rs, ok := ai.scratch.(interface{ Reset() }); ok {
 		rs.Reset() // stale messages must not leak into the next query
 	}
-	ai.pool.Put(scratch)
 	if err != nil {
 		return res, err
 	}
@@ -470,7 +470,7 @@ func (g *GraphEntry) RunContext(ctx context.Context, algo string, p algorithms.P
 // advanced as one block run on one pinned snapshot, per-source results
 // bit-identical to k Run calls. Like RunContext it serializes on the instance
 // and accumulates engine stats; block scratch is allocated per run (the
-// pooled scalar workspaces do not fit the n×k layout). Algorithms without a
+// reused scalar workspace does not fit the n×k layout). Algorithms without a
 // source parameter return algorithms.ErrBatchUnsupported.
 func (g *GraphEntry) RunBatch(ctx context.Context, algo string, p algorithms.Params, obs algorithms.Observer) (algorithms.BatchResult, error) {
 	ai, err := g.instance(algo)
@@ -519,10 +519,9 @@ type AlgoStats struct {
 	// columns they carried (their ratio is the mean batch width).
 	BatchRuns      int64 `json:"batch_runs"`
 	BatchedSources int64 `json:"batched_sources"`
-	// WorkspaceAllocs counts workspaces the pool actually created; runs
-	// beyond this number reused pooled scratch. Pools survive edge updates
-	// (the vertex count is fixed), so this should stay flat under update
-	// traffic.
+	// WorkspaceAllocs counts workspaces the instance created: at most one,
+	// reused by every later run. The workspace survives edge updates (the
+	// vertex count is fixed), so this stays flat under update traffic.
 	WorkspaceAllocs int64          `json:"workspace_allocs"`
 	Engine          graphmat.Stats `json:"engine"`
 	Counters        counters.Set   `json:"counters"`

@@ -247,7 +247,7 @@ func (s *Server) handleAddGraph(w http.ResponseWriter, r *http.Request) {
 // handleUploadGraph is the upload half of POST /graphs: build the graph from
 // the request body and register it. An uploaded graph is indistinguishable
 // from one loaded at boot — same registry entry, same lazily built
-// per-algorithm property graphs and workspace pools — so /run results match
+// per-algorithm property graphs and workspaces — so /run results match
 // a boot-loaded copy of the same edges exactly.
 func (s *Server) handleUploadGraph(w http.ResponseWriter, r *http.Request, format string) {
 	name := r.URL.Query().Get("name")

@@ -119,32 +119,15 @@ func (img *Image) Validate() error {
 	return nil
 }
 
-// checkPart enforces one partition's DCSC shape contract in O(columns).
+// checkPart enforces one partition's DCSC shape contract in O(columns):
+// checkPartShape's O(1) length checks plus CP monotonicity.
 func checkPart(p *PartImage, nrows uint32) error {
-	if p.RowLo > p.RowHi || p.RowHi > nrows {
-		return fmt.Errorf("row range [%d, %d) outside [0, %d)", p.RowLo, p.RowHi, nrows)
-	}
-	if len(p.CP) != len(p.JC)+1 {
-		return fmt.Errorf("CP length %d must be JC length %d + 1", len(p.CP), len(p.JC))
-	}
-	if p.CP[0] != 0 {
-		return fmt.Errorf("CP must start at 0, got %d", p.CP[0])
+	if err := checkPartShape(p, nrows); err != nil {
+		return err
 	}
 	for i := 1; i < len(p.CP); i++ {
 		if p.CP[i] < p.CP[i-1] {
 			return fmt.Errorf("CP not monotone at column %d (%d < %d)", i, p.CP[i], p.CP[i-1])
-		}
-	}
-	nnz := p.CP[len(p.CP)-1]
-	if uint32(len(p.IR)) != nnz || uint32(len(p.Val)) != nnz {
-		return fmt.Errorf("IR/Val lengths (%d, %d) must equal CP's final pointer %d", len(p.IR), len(p.Val), nnz)
-	}
-	if p.Aux != nil {
-		if len(p.Aux) < 2 {
-			return fmt.Errorf("AUX index has %d entries, need at least 2", len(p.Aux))
-		}
-		if got := p.Aux[len(p.Aux)-1]; got != uint32(len(p.JC)) {
-			return fmt.Errorf("AUX must end at the column count %d, got %d", len(p.JC), got)
 		}
 	}
 	return nil

@@ -146,8 +146,9 @@ func (sn *Snapshot) decode() error {
 }
 
 // checkPartShape is the O(1) subset of checkPart run on every Open: length
-// consistency between the partition's arrays, without the O(columns) CP
-// monotonicity scan (Verify and the writer's Validate do that).
+// consistency between the partition's arrays and the presence of the AUX
+// index, without the O(columns) CP monotonicity scan (Verify and the
+// writer's Validate do that).
 func checkPartShape(p *PartImage, nrows uint32) error {
 	if p.RowLo > p.RowHi || p.RowHi > nrows {
 		return fmt.Errorf("row range [%d, %d) outside [0, %d)", p.RowLo, p.RowHi, nrows)
@@ -162,7 +163,14 @@ func checkPartShape(p *PartImage, nrows uint32) error {
 	if uint32(len(p.IR)) != nnz || uint32(len(p.Val)) != nnz {
 		return fmt.Errorf("IR/Val lengths (%d, %d) must equal CP's final pointer %d", len(p.IR), len(p.Val), nnz)
 	}
-	if p.Aux != nil && (len(p.Aux) < 2 || p.Aux[len(p.Aux)-1] != uint32(len(p.JC))) {
+	// Every writer indexes non-empty partitions (BuildDCSC always builds
+	// AUX), and the push kernels probe AUX without a fallback: a partition
+	// with columns but no index is corrupt input.
+	if p.Aux == nil {
+		if len(p.JC) > 0 {
+			return fmt.Errorf("%d columns but no AUX index", len(p.JC))
+		}
+	} else if len(p.Aux) < 2 || p.Aux[len(p.Aux)-1] != uint32(len(p.JC)) {
 		return fmt.Errorf("AUX index shape is inconsistent with %d columns", len(p.JC))
 	}
 	return nil

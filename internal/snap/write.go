@@ -19,6 +19,11 @@ func Write(path string, img *Image) error {
 	if err := img.Validate(); err != nil {
 		return err
 	}
+	return writeImage(path, img)
+}
+
+// writeImage lays out and durably writes an already validated image.
+func writeImage(path string, img *Image) error {
 	secs := img.sections()
 	if len(secs) > maxSections {
 		return fmt.Errorf("snap: %d sections exceed the format limit %d", len(secs), maxSections)
