@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build fmt lint graphmatlint staticcheck govulncheck test race bench bench-engine bench-engine-record bench-sched bench-store bench-multi bench-snap fuzz kernel-parity ci
+.PHONY: all build fmt lint graphmatlint staticcheck govulncheck test perfbench race bench bench-engine bench-sched bench-store bench-multi bench-snap fuzz kernel-parity ci
 
 all: build
 
@@ -51,6 +51,12 @@ govulncheck:
 test:
 	$(GO) test ./...
 
+# perfbench is its own module (perfbench/go.mod), so the root ./... patterns
+# never compile it; vet and test it explicitly so an API break in the
+# packages it drives cannot reach the benchmark unseen.
+perfbench:
+	cd perfbench && $(GO) vet ./... && $(GO) test .
+
 # internal/graph carries the versioned store (snapshot isolation under
 # concurrent updates + compaction); algorithms carries the store-backed
 # registry instances; bitvec backs every frontier the workers share and gen
@@ -82,17 +88,11 @@ kernel-parity:
 bench:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' ./...
 
-# The engine kernel baseline: the backend {scalar, avx2|neon} × mode
-# {pull, push, auto} × workers {1, 4, 8} matrix behind BENCH_engine.json.
-# Real measurement (1s per case), unlike the bench smoke.
+# The engine kernel sweep: the backend {scalar, avx2|neon} × mode
+# {pull, push, auto} × workers {1, 4, 8} matrix. Real measurement (1s per
+# case), unlike the bench smoke.
 bench-engine:
 	$(GO) test -bench='^BenchmarkEngine' -benchtime=1s -run='^$$' .
-
-# Re-record BENCH_engine.json: runs the same sweep and rewrites the JSON with
-# the environment — GOMAXPROCS, CPU feature flags, supported kernel backends
-# and the default selection — captured automatically.
-bench-engine-record:
-	$(GO) run ./cmd/benchrecord -out BENCH_engine.json
 
 # The scheduler runtime microbenches: pool wake vs per-call spawn dispatch
 # latency, plus the steal-overhead / balanced pair. -cpu 1,4 exercises both
@@ -100,21 +100,20 @@ bench-engine-record:
 bench-sched:
 	$(GO) test -bench=. -benchtime=1s -run='^$$' -cpu=1,4 ./internal/sched
 
-# The versioned-store baseline: 1% update-batch application and overlay
-# compaction, behind BENCH_store.json. Real measurement (1s per case).
+# The versioned-store sweep: 1% update-batch application and overlay
+# compaction. Real measurement (1s per case).
 bench-store:
 	$(GO) test -bench='^(BenchmarkApplyEdges|BenchmarkCompaction)' -benchtime=1s -run='^$$' .
 
-# The multi-source block-run baseline: k ∈ {1, 8, 32} sources per batched
-# BFS/PPR run, behind BENCH_multi.json. Real measurement (1s per case).
+# The multi-source block-run sweep: k ∈ {1, 8, 32} sources per batched
+# BFS/PPR run. Real measurement (1s per case).
 bench-multi:
 	$(GO) test -bench='^(BenchmarkBatchBFS|BenchmarkBatchPPR)' -benchtime=1s -run='^$$' .
 
-# The persistence baseline: snapshot write / mmap boot / parse+rebuild (the
-# restart ratio) plus WAL append and replay, behind BENCH_snap.json. Real
-# measurement (1s per case).
+# The persistence sweep: snapshot write / mmap boot / parse+rebuild (the
+# restart ratio) plus WAL append and replay. Real measurement (1s per case).
 bench-snap:
 	$(GO) test -bench='^(BenchmarkSnapWrite|BenchmarkSnapBoot|BenchmarkSnapParseBuild)$$' -benchtime=1s -run='^$$' .
 	$(GO) test -bench='^BenchmarkWAL' -benchtime=1s -run='^$$' ./internal/snap
 
-ci: build lint test kernel-parity race fuzz bench
+ci: build lint test perfbench kernel-parity race fuzz bench

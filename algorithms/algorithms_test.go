@@ -1,6 +1,7 @@
 package algorithms
 
 import (
+	"context"
 	"math"
 	"testing"
 	"testing/quick"
@@ -30,7 +31,10 @@ func TestPageRankMatchesReference(t *testing.T) {
 		t.Fatal(err)
 	}
 	const iters = 20
-	got, stats := PageRank(g, PageRankOptions{MaxIterations: iters, Config: graphmat.Config{Threads: 2}})
+	got, stats, err := RunPageRank(context.Background(), g, WithIterations(iters), WithThreads(2))
+	if err != nil {
+		t.Fatal(err)
+	}
 	want := reference.PageRank(n, refEdges, 0.15, iters)
 	for v := uint32(0); v < n; v++ {
 		if math.Abs(got[v]-want[v]) > 1e-9 {
@@ -48,7 +52,10 @@ func TestPageRankConvergesWithTolerance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, stats := PageRank(g, PageRankOptions{MaxIterations: 500, Tolerance: 1e-10})
+	_, stats, err := RunPageRank(context.Background(), g, WithIterations(500), WithTolerance(1e-10))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if stats.Iterations >= 500 {
 		t.Errorf("did not converge in %d iterations", stats.Iterations)
 	}
@@ -68,7 +75,10 @@ func TestPageRankRanksAreProbabilistic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ranks, _ := PageRank(g, PageRankOptions{MaxIterations: 50})
+	ranks, _, err := RunPageRank(context.Background(), g, WithIterations(50))
+	if err != nil {
+		t.Fatal(err)
+	}
 	for v, r := range ranks {
 		if math.Abs(r-1) > 1e-9 {
 			t.Errorf("cycle rank[%d] = %v, want 1", v, r)
@@ -85,7 +95,10 @@ func TestBFSMatchesReference(t *testing.T) {
 	// The reference must see the symmetrized edges the graph actually holds.
 	sym := g.Adjacency()
 	root := uint32(0)
-	got, _ := BFS(g, root, graphmat.Config{Threads: 2})
+	got, _, err := RunBFS(context.Background(), g, root, WithThreads(2))
+	if err != nil {
+		t.Fatal(err)
+	}
 	want := reference.BFS(g.NumVertices(), sym.Entries, root)
 	for v := range want {
 		if got[v] != want[v] {
@@ -103,7 +116,10 @@ func TestBFSUnreachable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dist, _ := BFS(g, 0, graphmat.Config{})
+	dist, _, err := RunBFS(context.Background(), g, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if dist[0] != 0 || dist[1] != 1 {
 		t.Errorf("reachable distances wrong: %v", dist)
 	}
@@ -119,7 +135,10 @@ func TestSSSPMatchesDijkstra(t *testing.T) {
 		t.Fatal(err)
 	}
 	adj := g.Adjacency()
-	got, _ := SSSP(g, 0, graphmat.Config{Threads: 2})
+	got, _, err := RunSSSP(context.Background(), g, 0, WithThreads(2))
+	if err != nil {
+		t.Fatal(err)
+	}
 	want := reference.SSSP(g.NumVertices(), adj.Entries, 0)
 	for v := range want {
 		if got[v] != want[v] {
@@ -135,7 +154,10 @@ func TestTriangleCountMatchesReference(t *testing.T) {
 		t.Fatal(err)
 	}
 	dag := g.Adjacency()
-	got, _ := TriangleCount(g, graphmat.Config{Threads: 2})
+	got, _, err := RunTriangleCount(context.Background(), g, WithThreads(2))
+	if err != nil {
+		t.Fatal(err)
+	}
 	want := reference.Triangles(g.NumVertices(), dag.Entries)
 	if got != want {
 		t.Fatalf("triangles = %d, want %d", got, want)
@@ -159,8 +181,8 @@ func TestTriangleCountKnownGraphs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, _ := TriangleCount(g, graphmat.Config{}); got != 4 {
-		t.Errorf("K4 triangles = %d, want 4", got)
+	if got, _, err := RunTriangleCount(context.Background(), g); err != nil || got != 4 {
+		t.Errorf("K4 triangles = %d (err %v), want 4", got, err)
 	}
 	// A 4-cycle has none.
 	c4 := sparse.NewCOO[float32](4, 4)
@@ -171,8 +193,8 @@ func TestTriangleCountKnownGraphs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, _ := TriangleCount(g2, graphmat.Config{}); got != 0 {
-		t.Errorf("C4 triangles = %d, want 0", got)
+	if got, _, err := RunTriangleCount(context.Background(), g2); err != nil || got != 0 {
+		t.Errorf("C4 triangles = %d (err %v), want 0", got, err)
 	}
 }
 
@@ -182,8 +204,14 @@ func TestTriangleCountReusable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, _ := TriangleCount(g, graphmat.Config{})
-	b, _ := TriangleCount(g, graphmat.Config{})
+	a, _, err := RunTriangleCount(context.Background(), g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, _, err := RunTriangleCount(context.Background(), g)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if a != b {
 		t.Errorf("second run differs: %d vs %d", a, b)
 	}
@@ -201,8 +229,11 @@ func TestCFLossDecreases(t *testing.T) {
 	}
 	var prev float64 = math.Inf(1)
 	for _, iters := range []int{1, 3, 6, 12} {
-		factors, _ := CF(g, CFOptions{Iterations: iters, Gamma: 0.002, Lambda: 0.05, InitSeed: 1,
-			Config: graphmat.Config{Threads: 2}})
+		factors, _, err := CFContext(context.Background(), g, CFOptions{Iterations: iters, Gamma: 0.002, Lambda: 0.05, InitSeed: 1,
+			Config: graphmat.Config{Threads: 2}}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
 		ff := make([][]float32, len(factors))
 		for i := range factors {
 			ff[i] = factors[i][:]
@@ -225,7 +256,10 @@ func TestCFDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		f, _ := CF(g, CFOptions{Iterations: 5, InitSeed: 42, Config: graphmat.Config{Threads: 2}})
+		f, _, err := CFContext(context.Background(), g, CFOptions{Iterations: 5, InitSeed: 42, Config: graphmat.Config{Threads: 2}}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
 		return f
 	}
 	a, b := mk(), mk()
@@ -243,7 +277,10 @@ func TestConnectedComponentsMatchesReference(t *testing.T) {
 		t.Fatal(err)
 	}
 	sym := g.Adjacency()
-	got, _ := ConnectedComponents(g, graphmat.Config{Threads: 2})
+	got, _, err := RunConnectedComponents(context.Background(), g, WithThreads(2))
+	if err != nil {
+		t.Fatal(err)
+	}
 	want := reference.ConnectedComponents(g.NumVertices(), sym.Entries)
 	for v := range want {
 		if got[v] != want[v] {
@@ -282,7 +319,10 @@ func TestQuickSSSPAgainstDijkstra(t *testing.T) {
 			t.Fatal(err)
 		}
 		adj := g.Adjacency()
-		got, _ := SSSP(g, 0, graphmat.Config{Threads: 2})
+		got, _, err := RunSSSP(context.Background(), g, 0, WithThreads(2))
+		if err != nil {
+			t.Fatal(err)
+		}
 		want := reference.SSSP(g.NumVertices(), adj.Entries, 0)
 		for v := range want {
 			if got[v] != want[v] {
@@ -305,7 +345,10 @@ func TestQuickTrianglesAgainstBruteForce(t *testing.T) {
 			t.Fatal(err)
 		}
 		dag := g.Adjacency()
-		got, _ := TriangleCount(g, graphmat.Config{Threads: 2})
+		got, _, err := RunTriangleCount(context.Background(), g, WithThreads(2))
+		if err != nil {
+			t.Fatal(err)
+		}
 		return got == reference.Triangles(g.NumVertices(), dag.Entries)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {
@@ -336,7 +379,10 @@ func TestQuickPageRankMassConservation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ranks, _ := PageRank(g, PageRankOptions{MaxIterations: 30, Config: graphmat.Config{Threads: 2}})
+		ranks, _, err := RunPageRank(context.Background(), g, WithIterations(30), WithThreads(2))
+		if err != nil {
+			t.Fatal(err)
+		}
 		sum := 0.0
 		for _, r := range ranks {
 			sum += r

@@ -2,6 +2,7 @@ package algorithms
 
 import (
 	"context"
+	"slices"
 
 	"graphmat"
 	"graphmat/internal/gen"
@@ -92,26 +93,13 @@ func (o CFOptions) withDefaults() CFOptions {
 // (§5.1: "for collaborative filtering, the graphs have to be bipartite").
 // The input is consumed.
 func NewCFGraph(ratings *graphmat.COO[float32], partitions int) (*graphmat.Graph[CFVec, float32], error) {
-	ratings.RemoveSelfLoops()
-	ratings.SortRowMajor()
-	ratings.DedupKeepFirst()
-	ratings.Symmetrize()
-	return graphmat.New[CFVec](ratings, graphmat.Options{Partitions: partitions})
+	return graphmat.New[CFVec](preprocess(ratings, updSymmetric), graphmat.Options{Partitions: partitions})
 }
 
-// CF runs gradient-descent matrix factorization and returns the factor
-// vectors indexed by vertex id (users then items). Factors are
-// (re)initialized deterministically from InitSeed.
-func CF(g *graphmat.Graph[CFVec, float32], opt CFOptions) ([]CFVec, graphmat.Stats) {
-	out, stats, err := CFContext(context.Background(), g, opt, nil)
-	if err != nil {
-		panic(err) // contextless run with no observer cannot fail
-	}
-	return out, stats
-}
-
-// CFContext is CF as a cancelable, observable session: the sweep loop runs
-// as one engine run, so observers see real iteration numbers. A stopped run
+// CFContext runs gradient-descent matrix factorization and returns the
+// factor vectors indexed by vertex id (users then items). Factors are
+// (re)initialized deterministically from InitSeed. The sweep loop runs as
+// one engine run, so observers see real iteration numbers. A stopped run
 // returns the factors as of the stop together with the stop cause.
 func CFContext(ctx context.Context, g *graphmat.Graph[CFVec, float32], opt CFOptions, obs Observer) ([]CFVec, graphmat.Stats, error) {
 	opt = opt.withDefaults()
@@ -129,7 +117,5 @@ func CFContext(ctx context.Context, g *graphmat.Graph[CFVec, float32], opt CFOpt
 	cfg.MaxIterations = opt.Iterations
 	sess := newSession(obs)
 	stats, err := graphmat.RunContext(ctx, g, CFProgram{Gamma: opt.Gamma, Lambda: opt.Lambda}, cfg, nil, sess.options()...)
-	out := make([]CFVec, len(props))
-	copy(out, props)
-	return out, stats, err
+	return slices.Clone(props), stats, err
 }

@@ -2,6 +2,7 @@ package algorithms
 
 import (
 	"context"
+	"slices"
 
 	"graphmat"
 )
@@ -42,59 +43,30 @@ func (CCProgram) ProcessIgnoresDst() {}
 // the edge set symmetrized so components are those of the underlying
 // undirected graph. The input is consumed.
 func NewCCGraph(adj *graphmat.COO[float32], partitions int) (*graphmat.Graph[uint32, float32], error) {
-	adj.RemoveSelfLoops()
-	adj.SortRowMajor()
-	adj.DedupKeepFirst()
-	adj.Symmetrize()
-	return graphmat.New[uint32](adj, graphmat.Options{Partitions: partitions})
+	return graphmat.New[uint32](preprocess(adj, updSymmetric), graphmat.Options{Partitions: partitions})
 }
 
 // NewCCStore is NewCCGraph as a versioned store: the same preprocessing and
 // epoch-0 graph, plus live edge updates via ApplyEdges.
 func NewCCStore(adj *graphmat.COO[float32], partitions int) (*graphmat.Store[uint32, float32], error) {
-	adj.RemoveSelfLoops()
-	adj.SortRowMajor()
-	adj.DedupKeepFirst()
-	adj.Symmetrize()
-	return graphmat.NewStore[uint32](adj, graphmat.Options{Partitions: partitions})
+	return graphmat.NewStore[uint32](preprocess(adj, updSymmetric), graphmat.Options{Partitions: partitions})
 }
 
-// ConnectedComponents labels every vertex with the smallest vertex id in its
-// component.
-//
-// Deprecated: use RunConnectedComponents.
-func ConnectedComponents(g *graphmat.Graph[uint32, float32], cfg graphmat.Config) ([]uint32, graphmat.Stats) {
-	ws := graphmat.NewWorkspace[uint32, uint32](int(g.NumVertices()), cfg.Vector)
-	labels, stats, err := ConnectedComponentsWithWorkspace(g, cfg, ws)
+// RunConnectedComponents labels every vertex with the smallest vertex id in
+// its component, on a graph built by NewCCGraph. Options and the
+// stopped-run contract as in RunBFS (workspace type
+// *graphmat.Workspace[uint32, uint32]); a stopped run returns the partially
+// propagated labels.
+func RunConnectedComponents(ctx context.Context, g *graphmat.Graph[uint32, float32], opts ...Option) ([]uint32, graphmat.Stats, error) {
+	set := newSettings(opts)
+	ws, err := workspaceFor(set, g.NumVertices(), graphmat.NewWorkspace[uint32, uint32])
 	if err != nil {
-		panic(err) // workspace built for this graph and config above
+		return nil, graphmat.Stats{}, err
 	}
-	return labels, stats
-}
-
-// ConnectedComponentsWithWorkspace is ConnectedComponents with
-// caller-managed engine scratch for repeated runs on one graph.
-//
-// Deprecated: use RunConnectedComponents with WithWorkspace.
-func ConnectedComponentsWithWorkspace(g *graphmat.Graph[uint32, float32], cfg graphmat.Config, ws *graphmat.Workspace[uint32, uint32]) ([]uint32, graphmat.Stats, error) {
-	return ConnectedComponentsContext(context.Background(), g, cfg, ws, nil)
-}
-
-// ConnectedComponentsContext is ConnectedComponents as a cancelable,
-// observable session; see BFSContext for the contract. A stopped run returns
-// the partially propagated labels.
-//
-// Deprecated: use RunConnectedComponents with WithObserver; this remains
-// the implementation behind it.
-func ConnectedComponentsContext(ctx context.Context, g *graphmat.Graph[uint32, float32], cfg graphmat.Config, ws *graphmat.Workspace[uint32, uint32], obs Observer) ([]uint32, graphmat.Stats, error) {
 	g.InitProps(func(v uint32) uint32 { return v })
 	g.SetAllActive()
-	stats, err := graphmat.RunContext(ctx, g, CCProgram{}, cfg, ws, newSession(obs).options()...)
-	labels := make([]uint32, g.NumVertices())
-	for v := range labels {
-		labels[v] = g.Prop(uint32(v))
-	}
-	return labels, stats, err
+	stats, err := graphmat.RunContext(ctx, g, CCProgram{}, set.cfg, ws, newSession(set.obs).options()...)
+	return slices.Clone(g.Props()), stats, err
 }
 
 // DegreeProgram counts arriving messages: run for one superstep with all
@@ -141,9 +113,5 @@ func Degrees(g *graphmat.Graph[uint32, float32], dir graphmat.Direction, cfg gra
 	g.SetAllActive()
 	cfg.MaxIterations = 1
 	stats, _ := graphmat.Run(g, DegreeProgram{Dir: dir}, cfg) // contextless Run cannot fail
-	deg := make([]uint32, g.NumVertices())
-	for v := range deg {
-		deg[v] = g.Prop(uint32(v))
-	}
-	return deg, stats
+	return slices.Clone(g.Props()), stats
 }

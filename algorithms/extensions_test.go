@@ -1,6 +1,7 @@
 package algorithms
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -20,7 +21,10 @@ func TestHITSOnKnownGraph(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	scores, stats := HITS(g, HITSOptions{Iterations: 10, Config: graphmat.Config{Threads: 2}})
+	scores, stats, err := RunHITS(context.Background(), g, WithIterations(10), WithThreads(2))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if stats.Iterations != 20 { // two half-steps per iteration
 		t.Errorf("Iterations = %d, want 20", stats.Iterations)
 	}
@@ -47,7 +51,10 @@ func TestHITSNormalized(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	scores, _ := HITS(g, HITSOptions{Iterations: 15, Config: graphmat.Config{Threads: 2}})
+	scores, _, err := RunHITS(context.Background(), g, WithIterations(15), WithThreads(2))
+	if err != nil {
+		t.Fatal(err)
+	}
 	var hub2, auth2 float64
 	for _, s := range scores {
 		hub2 += s.Hub * s.Hub
@@ -73,8 +80,14 @@ func TestHITSPowerIterationConverges(t *testing.T) {
 		}
 		return g
 	}
-	a, _ := HITS(build(), HITSOptions{Iterations: 30})
-	b, _ := HITS(build(), HITSOptions{Iterations: 60})
+	a, _, err := RunHITS(context.Background(), build(), WithIterations(30))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, _, err := RunHITS(context.Background(), build(), WithIterations(60))
+	if err != nil {
+		t.Fatal(err)
+	}
 	var maxDiff float64
 	for v := range a {
 		maxDiff = math.Max(maxDiff, math.Abs(a[v].Auth-b[v].Auth))
@@ -112,7 +125,10 @@ func TestPersonalizedPageRankLocality(t *testing.T) {
 		t.Fatal(err)
 	}
 	sources := []uint32{0, 1}
-	ranks, _ := PersonalizedPageRank(g, sources, PageRankOptions{MaxIterations: 100, Tolerance: 1e-12})
+	ranks, _, err := RunPersonalizedPageRank(context.Background(), g, sources, WithIterations(100), WithTolerance(1e-12))
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	// Unreachable component must have zero rank.
 	for v := n / 2; v < n; v++ {
@@ -154,13 +170,19 @@ func TestPersonalizedPageRankReducesToUniformTeleport(t *testing.T) {
 	for i := range all {
 		all[i] = uint32(i)
 	}
-	ppr, _ := PersonalizedPageRank(gPPR, all, PageRankOptions{MaxIterations: 60})
+	ppr, _, err := RunPersonalizedPageRank(context.Background(), gPPR, all, WithIterations(60))
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	gPR, err := NewPageRankGraph(coo.Clone(), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pr, _ := PageRank(gPR, PageRankOptions{MaxIterations: 60})
+	pr, _, err := RunPageRank(context.Background(), gPR, WithIterations(60))
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	// PPR with uniform sources = PR / n (ranks are distributions vs counts).
 	for v := uint32(0); v < n; v++ {

@@ -1,20 +1,15 @@
 package algorithms
 
 import (
-	"context"
 	"fmt"
 
 	"graphmat"
 )
 
-// This file is the package's unified run surface: one options-struct
-// entrypoint per algorithm — Run<Algo>(ctx, g, ...required args, opts...) —
-// replacing the historical four-way sprawl of <Algo> /
-// <Algo>WithWorkspace / <Algo>Context signatures. The old names remain as
-// thin deprecated wrappers, so nothing breaks, but new code (and the server
-// and CLI) should reach for these.
+// This file is the option set shared by every algorithm's one entry point,
+// Run<Algo>(ctx, g, ...required args, opts...).
 //
-// Every entrypoint accepts the same option set; options an algorithm has no
+// Every entry point accepts the same option set; options an algorithm has no
 // use for are simply ignored (WithTolerance on BFS does nothing). A
 // workspace passed via WithWorkspace must be of the algorithm's scratch type
 // (the same value NewScratch-style constructors return); a mismatch is an
@@ -76,116 +71,30 @@ func WithTolerance(t float64) Option { return func(s *settings) { s.tol = t } }
 // 0.15.
 func WithRestartProb(r float64) Option { return func(s *settings) { s.restart = r } }
 
-// settingsWorkspace resolves the run's engine workspace: the caller's via
-// WithWorkspace when its type fits, fresh scratch otherwise (nil — including
-// a typed nil pointer — allocates).
-func settingsWorkspace[M, R any](n int, set *settings) (*graphmat.Workspace[M, R], error) {
-	if set.ws == nil {
-		return graphmat.NewWorkspace[M, R](n, set.cfg.Vector), nil
+// workspaceFor resolves the scratch a run executes on: the caller's, given
+// via WithWorkspace, or fresh scratch for an n-vertex graph when the caller
+// passed nil or a typed nil pointer. A value of any other type is an error.
+func workspaceFor[S comparable](set *settings, n uint32, fresh func(int, graphmat.VectorKind) S) (S, error) {
+	ws, ok := set.ws.(S)
+	if set.ws != nil && !ok {
+		return ws, fmt.Errorf("algorithms: workspace type %T does not belong to this algorithm", set.ws)
 	}
-	ws, ok := set.ws.(*graphmat.Workspace[M, R])
-	if !ok {
-		return nil, fmt.Errorf("algorithms: workspace type %T does not belong to this algorithm", set.ws)
-	}
-	if ws == nil {
-		return graphmat.NewWorkspace[M, R](n, set.cfg.Vector), nil
+	var none S
+	if ws == none {
+		ws = fresh(int(n), set.cfg.Vector)
 	}
 	return ws, nil
 }
 
-func (s *settings) pageRankOptions() PageRankOptions {
-	return PageRankOptions{MaxIterations: s.iters, Tolerance: s.tol, RestartProb: s.restart, Config: s.cfg}
-}
-
-// RunBFS computes hop distances from root on a graph built by NewBFSGraph;
-// unreachable vertices report Unreached. Options: WithConfig/WithThreads/
-// WithMode, WithWorkspace (*graphmat.Workspace[uint32, uint32]),
-// WithObserver. A canceled run returns the partial distances with the stop
-// cause.
-func RunBFS(ctx context.Context, g *graphmat.Graph[uint32, float32], root uint32, opts ...Option) ([]uint32, graphmat.Stats, error) {
-	set := newSettings(opts)
-	ws, err := settingsWorkspace[uint32, uint32](int(g.NumVertices()), set)
-	if err != nil {
-		return nil, graphmat.Stats{}, err
+// rankDefaults resolves the pagerank/ppr defaults: 100 iterations and
+// teleport probability 0.15.
+func (s *settings) rankDefaults() (iters int, restart float64) {
+	iters, restart = s.iters, s.restart
+	if iters == 0 {
+		iters = 100
 	}
-	return BFSContext(ctx, g, root, set.cfg, ws, set.obs)
-}
-
-// RunSSSP computes shortest-path distances from src on a graph built by
-// NewSSSPGraph; unreachable vertices report InfDist. Options as in RunBFS
-// (workspace type *graphmat.Workspace[float32, float32]).
-func RunSSSP(ctx context.Context, g *graphmat.Graph[float32, float32], src uint32, opts ...Option) ([]float32, graphmat.Stats, error) {
-	set := newSettings(opts)
-	ws, err := settingsWorkspace[float32, float32](int(g.NumVertices()), set)
-	if err != nil {
-		return nil, graphmat.Stats{}, err
+	if restart == 0 {
+		restart = 0.15
 	}
-	return SSSPContext(ctx, g, src, set.cfg, ws, set.obs)
-}
-
-// RunPageRank computes PageRank on a graph built by NewPageRankGraph.
-// Options: WithIterations, WithTolerance, WithRestartProb, plus the engine
-// options (workspace type *graphmat.Workspace[float64, float64]).
-func RunPageRank(ctx context.Context, g *graphmat.Graph[PRVertex, float32], opts ...Option) ([]float64, graphmat.Stats, error) {
-	set := newSettings(opts)
-	ws, err := settingsWorkspace[float64, float64](int(g.NumVertices()), set)
-	if err != nil {
-		return nil, graphmat.Stats{}, err
-	}
-	return PageRankContext(ctx, g, set.pageRankOptions(), ws, set.obs)
-}
-
-// RunPersonalizedPageRank ranks vertices by proximity to the source set on a
-// graph built by NewPersonalizedPageRankGraph. Options as in RunPageRank.
-func RunPersonalizedPageRank(ctx context.Context, g *graphmat.Graph[PPRVertex, float32], sources []uint32, opts ...Option) ([]float64, graphmat.Stats, error) {
-	set := newSettings(opts)
-	ws, err := settingsWorkspace[float64, float64](int(g.NumVertices()), set)
-	if err != nil {
-		return nil, graphmat.Stats{}, err
-	}
-	return PersonalizedPageRankContext(ctx, g, sources, set.pageRankOptions(), ws, set.obs)
-}
-
-// RunConnectedComponents labels every vertex with the smallest vertex id in
-// its component, on a graph built by NewCCGraph. Options as in RunBFS
-// (workspace type *graphmat.Workspace[uint32, uint32]).
-func RunConnectedComponents(ctx context.Context, g *graphmat.Graph[uint32, float32], opts ...Option) ([]uint32, graphmat.Stats, error) {
-	set := newSettings(opts)
-	ws, err := settingsWorkspace[uint32, uint32](int(g.NumVertices()), set)
-	if err != nil {
-		return nil, graphmat.Stats{}, err
-	}
-	return ConnectedComponentsContext(ctx, g, set.cfg, ws, set.obs)
-}
-
-// RunHITS computes hub and authority scores on a graph built by
-// NewHITSGraph. Options: WithIterations plus the engine options (workspace
-// type *graphmat.Workspace[float64, float64]).
-func RunHITS(ctx context.Context, g *graphmat.Graph[HITSVertex, float32], opts ...Option) ([]HITSVertex, graphmat.Stats, error) {
-	set := newSettings(opts)
-	ws, err := settingsWorkspace[float64, float64](int(g.NumVertices()), set)
-	if err != nil {
-		return nil, graphmat.Stats{}, err
-	}
-	return HITSContext(ctx, g, HITSOptions{Iterations: set.iters, Config: set.cfg}, ws, set.obs)
-}
-
-// RunTriangleCount counts triangles on a graph built by NewTriangleGraph.
-// Options: the engine options; the workspace type is *TriangleScratch.
-func RunTriangleCount(ctx context.Context, g *graphmat.Graph[TCVertex, float32], opts ...Option) (int64, graphmat.Stats, error) {
-	set := newSettings(opts)
-	var sc *TriangleScratch
-	if set.ws == nil {
-		sc = NewTriangleScratch(int(g.NumVertices()), set.cfg.Vector)
-	} else {
-		s, ok := set.ws.(*TriangleScratch)
-		if !ok {
-			return 0, graphmat.Stats{}, fmt.Errorf("algorithms: workspace type %T does not belong to this algorithm", set.ws)
-		}
-		if s == nil {
-			s = NewTriangleScratch(int(g.NumVertices()), set.cfg.Vector)
-		}
-		sc = s
-	}
-	return TriangleCountContext(ctx, g, set.cfg, sc, set.obs)
+	return iters, restart
 }

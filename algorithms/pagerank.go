@@ -63,81 +63,43 @@ func (PageRankProgram) ProcessIgnoresDst() {}
 // column folds through the SIMD kernel backends.
 func (PageRankProgram) ReducesBySumF64() {}
 
-// PageRankOptions configures a PageRank run.
-type PageRankOptions struct {
-	RestartProb   float64 // 0 means 0.15
-	Tolerance     float64 // 0 with MaxIterations>0 runs exactly MaxIterations
-	MaxIterations int     // 0 means 100
-	Config        graphmat.Config
-}
-
-func (o PageRankOptions) withDefaults() PageRankOptions {
-	if o.RestartProb == 0 {
-		o.RestartProb = 0.15
-	}
-	if o.MaxIterations == 0 {
-		o.MaxIterations = 100
-	}
-	return o
-}
-
 // NewPageRankGraph builds the PageRank property graph from adjacency triples
 // (paper preprocessing: self-loops removed, edges kept directed). The input
 // is consumed.
 func NewPageRankGraph(adj *graphmat.COO[float32], partitions int) (*graphmat.Graph[PRVertex, float32], error) {
-	adj.RemoveSelfLoops()
-	return graphmat.New[PRVertex](adj, graphmat.Options{Partitions: partitions})
+	return graphmat.New[PRVertex](preprocess(adj, updDirected), graphmat.Options{Partitions: partitions})
 }
 
 // NewPageRankStore is NewPageRankGraph as a versioned store: the same
 // preprocessing and epoch-0 graph, plus live edge updates via ApplyEdges.
 func NewPageRankStore(adj *graphmat.COO[float32], partitions int) (*graphmat.Store[PRVertex, float32], error) {
-	adj.RemoveSelfLoops()
-	return graphmat.NewStore[PRVertex](adj, graphmat.Options{Partitions: partitions})
+	return graphmat.NewStore[PRVertex](preprocess(adj, updDirected), graphmat.Options{Partitions: partitions})
 }
 
-// PageRank runs PageRank on a graph built by NewPageRankGraph, returning the
-// final rank per vertex. Vertex state is (re)initialized, so the same graph
-// can be reused across runs.
+// RunPageRank runs PageRank on a graph built by NewPageRankGraph, returning
+// the final rank per vertex. Vertex state is (re)initialized, so the same
+// graph can be reused across runs. Options: WithIterations (0 means 100),
+// WithTolerance (0 runs exactly the iteration cap), WithRestartProb (0 means
+// 0.15), plus the engine options (workspace type
+// *graphmat.Workspace[float64, float64]).
 //
 // Equation (1) sums contributions from *every* vertex each iteration, so the
 // runner re-activates all vertices before each superstep (the paper's
 // PageRank likewise has every vertex participating each iteration — that is
 // why Figure 4a can report a stable time per iteration). Convergence is
-// detected when no vertex's rank moves beyond Tolerance.
-//
-// Deprecated: use RunPageRank with WithIterations/WithTolerance/
-// WithRestartProb.
-func PageRank(g *graphmat.Graph[PRVertex, float32], opt PageRankOptions) ([]float64, graphmat.Stats) {
+// detected when no vertex's rank moves beyond Tolerance. ctx cancellation
+// or deadline stops the run between (or within) supersteps; a stopped run
+// returns the ranks at the stop with the stop cause, and Stats.Reason
+// classifies how the run ended either way.
+func RunPageRank(ctx context.Context, g *graphmat.Graph[PRVertex, float32], opts ...Option) ([]float64, graphmat.Stats, error) {
+	set := newSettings(opts)
 	// One workspace across the whole superstep loop (graph_program_init in
 	// the paper's appendix): avoids two vertex-sized allocations per step.
-	ws := graphmat.NewWorkspace[float64, float64](int(g.NumVertices()), opt.Config.Vector)
-	ranks, stats, err := PageRankWithWorkspace(g, opt, ws)
+	ws, err := workspaceFor(set, g.NumVertices(), graphmat.NewWorkspace[float64, float64])
 	if err != nil {
-		panic(err) // workspace built for this graph and config above
+		return nil, graphmat.Stats{}, err
 	}
-	return ranks, stats
-}
-
-// PageRankWithWorkspace is PageRank with caller-managed engine scratch, for
-// drivers (like the analytics server) that run back-to-back queries on one
-// graph and want to reuse the workspace instead of reallocating it.
-//
-// Deprecated: use RunPageRank with WithWorkspace.
-func PageRankWithWorkspace(g *graphmat.Graph[PRVertex, float32], opt PageRankOptions, ws *graphmat.Workspace[float64, float64]) ([]float64, graphmat.Stats, error) {
-	return PageRankContext(context.Background(), g, opt, ws, nil)
-}
-
-// PageRankContext is PageRank as a cancelable, observable session: ctx
-// cancellation or deadline stops the run between (or within) supersteps, and
-// obs, when non-nil, receives one report per superstep. On a stopped run the
-// returned ranks are the partial state at the stop and the error is the stop
-// cause; Stats.Reason classifies how the run ended either way.
-//
-// Deprecated: use RunPageRank with WithObserver; this remains the
-// implementation behind it.
-func PageRankContext(ctx context.Context, g *graphmat.Graph[PRVertex, float32], opt PageRankOptions, ws *graphmat.Workspace[float64, float64], obs Observer) ([]float64, graphmat.Stats, error) {
-	opt = opt.withDefaults()
+	iters, restart := set.rankDefaults()
 	g.InitProps(func(v uint32) PRVertex {
 		p := PRVertex{Rank: 1}
 		if d := g.OutDegree(v); d > 0 {
@@ -145,13 +107,13 @@ func PageRankContext(ctx context.Context, g *graphmat.Graph[PRVertex, float32], 
 		}
 		return p
 	})
-	prog := PageRankProgram{RestartProb: opt.RestartProb, Tolerance: opt.Tolerance}
-	cfg := opt.Config
+	prog := PageRankProgram{RestartProb: restart, Tolerance: set.tol}
+	cfg := set.cfg
 	cfg.MaxIterations = 1
-	sess := newSession(obs)
+	sess := newSession(set.obs)
 	var stats graphmat.Stats
 	stats.Reason = graphmat.MaxIterations
-	for it := 0; it < opt.MaxIterations; it++ {
+	for it := 0; it < iters; it++ {
 		g.SetAllActive()
 		s, err := graphmat.RunContext(ctx, g, prog, cfg, ws, sess.options()...)
 		accumulate(&stats, s)
@@ -171,8 +133,8 @@ func PageRankContext(ctx context.Context, g *graphmat.Graph[PRVertex, float32], 
 
 func ranksOf(g *graphmat.Graph[PRVertex, float32]) []float64 {
 	ranks := make([]float64, g.NumVertices())
-	for v := range ranks {
-		ranks[v] = g.Prop(uint32(v)).Rank
+	for v, p := range g.Props() {
+		ranks[v] = p.Rank
 	}
 	return ranks
 }

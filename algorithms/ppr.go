@@ -74,37 +74,36 @@ func (PersonalizedPageRankProgram) ProcessIgnoresDst() {}
 // the column folds through the SIMD kernel backends.
 func (PersonalizedPageRankProgram) ReducesBySumF64() {}
 
-// PersonalizedPageRank ranks vertices by proximity to the given source set.
-// The graph must be built with NewPersonalizedPageRankGraph (or any
-// Graph[PPRVertex, float32]). Ranks are a probability distribution over
-// vertices (they sum to ~1 on source-reachable graphs).
-//
-// Deprecated: use RunPersonalizedPageRank.
-func PersonalizedPageRank(g *graphmat.Graph[PPRVertex, float32], sources []uint32, opt PageRankOptions) ([]float64, graphmat.Stats) {
-	ws := graphmat.NewWorkspace[float64, float64](int(g.NumVertices()), opt.Config.Vector)
-	ranks, stats, err := PersonalizedPageRankWithWorkspace(g, sources, opt, ws)
-	if err != nil {
-		panic(err) // workspace built for this graph and config above
+// NewPersonalizedPageRankGraph builds the PPR property graph.
+func NewPersonalizedPageRankGraph(adj *graphmat.COO[float32], partitions int) (*graphmat.Graph[PPRVertex, float32], error) {
+	return graphmat.New[PPRVertex](preprocess(adj, updDirected), graphmat.Options{Partitions: partitions})
+}
+
+// NewPersonalizedPageRankStore is NewPersonalizedPageRankGraph as a
+// versioned store: the same preprocessing and epoch-0 graph, plus live edge
+// updates via ApplyEdges.
+func NewPersonalizedPageRankStore(adj *graphmat.COO[float32], partitions int) (*graphmat.Store[PPRVertex, float32], error) {
+	return graphmat.NewStore[PPRVertex](preprocess(adj, updDirected), graphmat.Options{Partitions: partitions})
+}
+
+// RunPersonalizedPageRank ranks vertices by proximity to the source set on a
+// graph built by NewPersonalizedPageRankGraph (or any Graph[PPRVertex,
+// float32]). Ranks are a probability distribution over vertices (they sum
+// to ~1 on source-reachable graphs). A source outside the graph is an
+// error. Options and the stopped-run contract as in RunPageRank.
+func RunPersonalizedPageRank(ctx context.Context, g *graphmat.Graph[PPRVertex, float32], sources []uint32, opts ...Option) ([]float64, graphmat.Stats, error) {
+	set := newSettings(opts)
+	for _, s := range sources {
+		if err := checkSource(s, g.NumVertices(), "personalization"); err != nil {
+			return nil, graphmat.Stats{}, err
+		}
 	}
-	return ranks, stats
-}
-
-// PersonalizedPageRankWithWorkspace is PersonalizedPageRank with
-// caller-managed engine scratch for repeated queries on one graph.
-//
-// Deprecated: use RunPersonalizedPageRank with WithWorkspace.
-func PersonalizedPageRankWithWorkspace(g *graphmat.Graph[PPRVertex, float32], sources []uint32, opt PageRankOptions, ws *graphmat.Workspace[float64, float64]) ([]float64, graphmat.Stats, error) {
-	return PersonalizedPageRankContext(context.Background(), g, sources, opt, ws, nil)
-}
-
-// PersonalizedPageRankContext is PersonalizedPageRank as a cancelable,
-// observable session; see PageRankContext for the contract.
-//
-// Deprecated: use RunPersonalizedPageRank with WithObserver; this remains
-// the implementation behind it.
-func PersonalizedPageRankContext(ctx context.Context, g *graphmat.Graph[PPRVertex, float32], sources []uint32, opt PageRankOptions, ws *graphmat.Workspace[float64, float64], obs Observer) ([]float64, graphmat.Stats, error) {
-	opt = opt.withDefaults()
-	perSource := opt.RestartProb / float64(len(sources))
+	ws, err := workspaceFor(set, g.NumVertices(), graphmat.NewWorkspace[float64, float64])
+	if err != nil {
+		return nil, graphmat.Stats{}, err
+	}
+	iters, restart := set.rankDefaults()
+	perSource := restart / float64(len(sources))
 	isSource := make(map[uint32]bool, len(sources))
 	for _, s := range sources {
 		isSource[s] = true
@@ -120,20 +119,20 @@ func PersonalizedPageRankContext(ctx context.Context, g *graphmat.Graph[PPRVerte
 		}
 		return p
 	})
-	prog := PersonalizedPageRankProgram{RestartProb: opt.RestartProb, Tolerance: opt.Tolerance}
-	cfg := opt.Config
+	prog := PersonalizedPageRankProgram{RestartProb: restart, Tolerance: set.tol}
+	cfg := set.cfg
 	cfg.MaxIterations = 1
-	sess := newSession(obs)
+	sess := newSession(set.obs)
 	var stats graphmat.Stats
 	stats.Reason = graphmat.MaxIterations
 	pprRanks := func() []float64 {
 		ranks := make([]float64, g.NumVertices())
-		for v := range ranks {
-			ranks[v] = g.Prop(uint32(v)).Rank
+		for v, p := range g.Props() {
+			ranks[v] = p.Rank
 		}
 		return ranks
 	}
-	for it := 0; it < opt.MaxIterations; it++ {
+	for it := 0; it < iters; it++ {
 		g.SetAllActive()
 		s, err := graphmat.RunContext(ctx, g, prog, cfg, ws, sess.options()...)
 		accumulate(&stats, s)
@@ -147,18 +146,4 @@ func PersonalizedPageRankContext(ctx context.Context, g *graphmat.Graph[PPRVerte
 		}
 	}
 	return pprRanks(), stats, nil
-}
-
-// NewPersonalizedPageRankGraph builds the PPR property graph.
-func NewPersonalizedPageRankGraph(adj *graphmat.COO[float32], partitions int) (*graphmat.Graph[PPRVertex, float32], error) {
-	adj.RemoveSelfLoops()
-	return graphmat.New[PPRVertex](adj, graphmat.Options{Partitions: partitions})
-}
-
-// NewPersonalizedPageRankStore is NewPersonalizedPageRankGraph as a
-// versioned store: the same preprocessing and epoch-0 graph, plus live edge
-// updates via ApplyEdges.
-func NewPersonalizedPageRankStore(adj *graphmat.COO[float32], partitions int) (*graphmat.Store[PPRVertex, float32], error) {
-	adj.RemoveSelfLoops()
-	return graphmat.NewStore[PPRVertex](adj, graphmat.Options{Partitions: partitions})
 }

@@ -2,6 +2,7 @@ package algorithms
 
 import (
 	"context"
+	"slices"
 
 	"graphmat"
 )
@@ -53,14 +54,12 @@ func (ReachabilityProgram) ProcessIgnoresDst() {}
 // NewReachabilityGraph builds the reachability property graph: self-loops
 // removed, directed edges kept as-is. The input is consumed.
 func NewReachabilityGraph(adj *graphmat.COO[float32], partitions int) (*graphmat.Graph[uint32, float32], error) {
-	adj.RemoveSelfLoops()
-	return graphmat.New[uint32](adj, graphmat.Options{Partitions: partitions})
+	return graphmat.New[uint32](preprocess(adj, updDirected), graphmat.Options{Partitions: partitions})
 }
 
 // NewReachabilityStore is NewReachabilityGraph as a versioned store.
 func NewReachabilityStore(adj *graphmat.COO[float32], partitions int) (*graphmat.Store[uint32, float32], error) {
-	adj.RemoveSelfLoops()
-	return graphmat.NewStore[uint32](adj, graphmat.Options{Partitions: partitions})
+	return graphmat.NewStore[uint32](preprocess(adj, updDirected), graphmat.Options{Partitions: partitions})
 }
 
 // RunReachability computes the set of vertices reachable from src along
@@ -69,7 +68,10 @@ func NewReachabilityStore(adj *graphmat.COO[float32], partitions int) (*graphmat
 // (*graphmat.Workspace[uint32, uint32]), WithObserver.
 func RunReachability(ctx context.Context, g *graphmat.Graph[uint32, float32], src uint32, opts ...Option) ([]uint32, graphmat.Stats, error) {
 	set := newSettings(opts)
-	ws, err := settingsWorkspace[uint32, uint32](int(g.NumVertices()), set)
+	if err := checkSource(src, g.NumVertices(), "source"); err != nil {
+		return nil, graphmat.Stats{}, err
+	}
+	ws, err := workspaceFor(set, g.NumVertices(), graphmat.NewWorkspace[uint32, uint32])
 	if err != nil {
 		return nil, graphmat.Stats{}, err
 	}
@@ -78,9 +80,5 @@ func RunReachability(ctx context.Context, g *graphmat.Graph[uint32, float32], sr
 	g.ClearActive()
 	g.SetActive(src)
 	stats, err := graphmat.RunContext(ctx, g, ReachabilityProgram{}, set.cfg, ws, newSession(set.obs).options()...)
-	reached := make([]uint32, g.NumVertices())
-	for v := range reached {
-		reached[v] = g.Prop(uint32(v))
-	}
-	return reached, stats, err
+	return slices.Clone(g.Props()), stats, err
 }

@@ -52,8 +52,13 @@ func (p Params) Key() string {
 	return b.String()
 }
 
-func (p Params) config() graphmat.Config {
-	return graphmat.Config{Threads: p.Threads, Mode: p.Mode}
+// options translates the parameters into the run options every Run<Algo>
+// accepts (each ignores the ones it has no use for), followed by extra.
+func (p Params) options(extra ...Option) []Option {
+	return append([]Option{
+		WithConfig(graphmat.Config{Threads: p.Threads, Mode: p.Mode}),
+		WithIterations(p.Iterations), WithTolerance(p.Tolerance), WithRestartProb(p.RestartProb),
+	}, extra...)
 }
 
 // Result is the uniform output of a registry run: a per-vertex value series
@@ -370,181 +375,119 @@ var (
 	paramRestart   = ParamSpec{Name: "restart", Kind: Float, Desc: "teleport probability (0 = 0.15)"}
 )
 
+// register adds one algorithm to the registry. proto carries the
+// algorithm's update kind and its scratch, run and batch functions; Build
+// and Open bind a copy of it to a store, built by newStore from adjacency
+// triples or opened from a snapshot image. Batchable is set from whether
+// proto has a batch function, so the flag and the behavior cannot disagree.
+func register[V any, S comparable](s Spec, newStore func(*graphmat.COO[float32], int) (*graphmat.Store[V, float32], error), proto instance[V, S]) {
+	bind := func(st *graphmat.Store[V, float32], err error) (Instance, error) {
+		if err != nil {
+			return nil, err
+		}
+		in := proto
+		in.store = st
+		return &in, nil
+	}
+	s.Batchable = proto.batch != nil
+	s.Build = func(adj *graphmat.COO[float32], partitions int) (Instance, error) {
+		return bind(newStore(adj, partitions))
+	}
+	s.Open = func(img *graphmat.SnapImage) (Instance, error) {
+		return bind(graphmat.NewStoreFromImage[V](img))
+	}
+	Register(s)
+}
+
 func init() {
-	Register(Spec{
+	register(Spec{
 		Name:        "pagerank",
 		Description: "PageRank over out-edges (paper equation 1)",
 		Params:      []ParamSpec{paramIters, paramTolerance, paramRestart},
-		Build: func(adj *graphmat.COO[float32], partitions int) (Instance, error) {
-			st, err := NewPageRankStore(adj, partitions)
-			if err != nil {
-				return nil, err
-			}
-			return &pagerankInstance{liveGraph: liveGraph[PRVertex]{store: st, kind: updDirected}}, nil
-		},
-		Open: func(img *graphmat.SnapImage) (Instance, error) {
-			st, err := graphmat.NewStoreFromImage[PRVertex](img)
-			if err != nil {
-				return nil, err
-			}
-			return &pagerankInstance{liveGraph: liveGraph[PRVertex]{store: st, kind: updDirected}}, nil
+	}, NewPageRankStore, instance[PRVertex, *graphmat.Workspace[float64, float64]]{
+		liveGraph: liveGraph[PRVertex]{kind: updDirected},
+		scratch:   graphmat.NewWorkspace[float64, float64],
+		run: func(ctx context.Context, g *graphmat.Graph[PRVertex, float32], p Params, opts ...Option) (Result, error) {
+			ranks, stats, err := RunPageRank(ctx, g, opts...)
+			return Result{Values: ranks, Stats: stats}, err
 		},
 	})
-	Register(Spec{
+	register(Spec{
 		Name:        "bfs",
 		Description: "breadth-first hop distances on the symmetrized graph",
 		Params:      []ParamSpec{paramSource, paramSources},
-		Batchable:   true,
-		Build: func(adj *graphmat.COO[float32], partitions int) (Instance, error) {
-			st, err := NewBFSStore(adj, partitions)
-			if err != nil {
-				return nil, err
-			}
-			return &bfsInstance{liveGraph[uint32]{store: st, kind: updSymmetric}}, nil
-		},
-		Open: func(img *graphmat.SnapImage) (Instance, error) {
-			st, err := graphmat.NewStoreFromImage[uint32](img)
-			if err != nil {
-				return nil, err
-			}
-			return &bfsInstance{liveGraph[uint32]{store: st, kind: updSymmetric}}, nil
-		},
-	})
-	Register(Spec{
+	}, NewBFSStore, traversal(updSymmetric, RunBFS, RunBFSBatch))
+	register(Spec{
 		Name:        "sssp",
 		Description: "single-source shortest paths (frontier Bellman-Ford)",
 		Params:      []ParamSpec{paramSource, paramSources},
-		Batchable:   true,
-		Build: func(adj *graphmat.COO[float32], partitions int) (Instance, error) {
-			st, err := NewSSSPStore(adj, partitions)
-			if err != nil {
-				return nil, err
-			}
-			return &ssspInstance{liveGraph[float32]{store: st, kind: updDirected}}, nil
-		},
-		Open: func(img *graphmat.SnapImage) (Instance, error) {
-			st, err := graphmat.NewStoreFromImage[float32](img)
-			if err != nil {
-				return nil, err
-			}
-			return &ssspInstance{liveGraph[float32]{store: st, kind: updDirected}}, nil
-		},
-	})
-	Register(Spec{
+	}, NewSSSPStore, traversal(updDirected, RunSSSP, RunSSSPBatch))
+	register(Spec{
 		Name:        "components",
 		Description: "connected components by min-label propagation",
-		Params:      nil,
-		Build: func(adj *graphmat.COO[float32], partitions int) (Instance, error) {
-			st, err := NewCCStore(adj, partitions)
-			if err != nil {
-				return nil, err
-			}
-			return &componentsInstance{liveGraph: liveGraph[uint32]{store: st, kind: updSymmetric}}, nil
-		},
-		Open: func(img *graphmat.SnapImage) (Instance, error) {
-			st, err := graphmat.NewStoreFromImage[uint32](img)
-			if err != nil {
-				return nil, err
-			}
-			return &componentsInstance{liveGraph: liveGraph[uint32]{store: st, kind: updSymmetric}}, nil
+	}, NewCCStore, instance[uint32, *graphmat.Workspace[uint32, uint32]]{
+		liveGraph: liveGraph[uint32]{kind: updSymmetric},
+		scratch:   graphmat.NewWorkspace[uint32, uint32],
+		run: func(ctx context.Context, g *graphmat.Graph[uint32, float32], p Params, opts ...Option) (Result, error) {
+			labels, stats, err := RunConnectedComponents(ctx, g, opts...)
+			return Result{Values: widen(labels), Stats: stats}, err
 		},
 	})
-	Register(Spec{
+	register(Spec{
 		Name:        "ppr",
 		Description: "personalized PageRank toward a source set",
 		Params:      []ParamSpec{paramSource, paramSources, paramIters, paramTolerance, paramRestart},
-		Batchable:   true,
-		Build: func(adj *graphmat.COO[float32], partitions int) (Instance, error) {
-			st, err := NewPersonalizedPageRankStore(adj, partitions)
-			if err != nil {
-				return nil, err
-			}
-			return &pprInstance{liveGraph[PPRVertex]{store: st, kind: updDirected}}, nil
+	}, NewPersonalizedPageRankStore, instance[PPRVertex, *graphmat.Workspace[float64, float64]]{
+		liveGraph: liveGraph[PPRVertex]{kind: updDirected},
+		scratch:   graphmat.NewWorkspace[float64, float64],
+		run: func(ctx context.Context, g *graphmat.Graph[PPRVertex, float32], p Params, opts ...Option) (Result, error) {
+			ranks, stats, err := RunPersonalizedPageRank(ctx, g, batchSources(p), opts...)
+			return Result{Values: ranks, Stats: stats}, err
 		},
-		Open: func(img *graphmat.SnapImage) (Instance, error) {
-			st, err := graphmat.NewStoreFromImage[PPRVertex](img)
-			if err != nil {
-				return nil, err
-			}
-			return &pprInstance{liveGraph[PPRVertex]{store: st, kind: updDirected}}, nil
-		},
+		// Note the semantic difference from run: run with k sources computes
+		// ONE rank vector personalized to the whole set, batch computes k
+		// independent vectors, one per source.
+		batch: RunPersonalizedPageRankBatch,
 	})
-	Register(Spec{
+	register(Spec{
 		Name:        "reachability",
 		Description: "directed reachability over the boolean (OR, AND) semiring",
 		Params:      []ParamSpec{paramSource, paramSources},
-		Batchable:   true,
-		Build: func(adj *graphmat.COO[float32], partitions int) (Instance, error) {
-			st, err := NewReachabilityStore(adj, partitions)
-			if err != nil {
-				return nil, err
-			}
-			return &reachabilityInstance{liveGraph[uint32]{store: st, kind: updDirected}}, nil
-		},
-		Open: func(img *graphmat.SnapImage) (Instance, error) {
-			st, err := graphmat.NewStoreFromImage[uint32](img)
-			if err != nil {
-				return nil, err
-			}
-			return &reachabilityInstance{liveGraph[uint32]{store: st, kind: updDirected}}, nil
-		},
-	})
-	Register(Spec{
+	}, NewReachabilityStore, traversal(updDirected, RunReachability, RunReachabilityBatch))
+	register(Spec{
 		Name:        "widest",
 		Description: "widest (bottleneck) paths over the (max, min) semiring",
 		Params:      []ParamSpec{paramSource, paramSources},
-		Batchable:   true,
-		Build: func(adj *graphmat.COO[float32], partitions int) (Instance, error) {
-			st, err := NewWidestPathStore(adj, partitions)
-			if err != nil {
-				return nil, err
-			}
-			return &widestInstance{liveGraph[float32]{store: st, kind: updDirected}}, nil
-		},
-		Open: func(img *graphmat.SnapImage) (Instance, error) {
-			st, err := graphmat.NewStoreFromImage[float32](img)
-			if err != nil {
-				return nil, err
-			}
-			return &widestInstance{liveGraph[float32]{store: st, kind: updDirected}}, nil
-		},
-	})
-	Register(Spec{
+	}, NewWidestPathStore, traversal(updDirected, RunWidestPath, RunWidestPathBatch))
+	register(Spec{
 		Name:        "triangles",
 		Description: "triangle count via the two-phase neighbor-intersection pipeline",
-		Params:      nil,
-		Build: func(adj *graphmat.COO[float32], partitions int) (Instance, error) {
-			st, err := NewTriangleStore(adj, partitions)
-			if err != nil {
-				return nil, err
-			}
-			return &trianglesInstance{liveGraph: liveGraph[TCVertex]{store: st, kind: updUpperTriangle}}, nil
-		},
-		Open: func(img *graphmat.SnapImage) (Instance, error) {
-			st, err := graphmat.NewStoreFromImage[TCVertex](img)
-			if err != nil {
-				return nil, err
-			}
-			return &trianglesInstance{liveGraph: liveGraph[TCVertex]{store: st, kind: updUpperTriangle}}, nil
+	}, NewTriangleStore, instance[TCVertex, *TriangleScratch]{
+		liveGraph: liveGraph[TCVertex]{kind: updUpperTriangle},
+		scratch:   NewTriangleScratch,
+		run: func(ctx context.Context, g *graphmat.Graph[TCVertex, float32], p Params, opts ...Option) (Result, error) {
+			count, stats, err := RunTriangleCount(ctx, g, opts...)
+			return Result{Count: &count, Stats: stats}, err
 		},
 	})
-	Register(Spec{
+	register(Spec{
 		Name:        "hits",
 		Description: "HITS hub and authority scores (L2-normalized half-steps)",
 		Params:      []ParamSpec{paramIters},
-		Build: func(adj *graphmat.COO[float32], partitions int) (Instance, error) {
-			st, err := NewHITSStore(adj, partitions)
-			if err != nil {
-				return nil, err
+	}, NewHITSStore, instance[HITSVertex, *graphmat.Workspace[float64, float64]]{
+		liveGraph: liveGraph[HITSVertex]{kind: updDirected},
+		scratch:   graphmat.NewWorkspace[float64, float64],
+		run: func(ctx context.Context, g *graphmat.Graph[HITSVertex, float32], p Params, opts ...Option) (Result, error) {
+			scores, stats, err := RunHITS(ctx, g, opts...)
+			hub := make([]float64, len(scores))
+			auth := make([]float64, len(scores))
+			for v, s := range scores {
+				hub[v] = s.Hub
+				auth[v] = s.Auth
 			}
-			return &hitsInstance{liveGraph: liveGraph[HITSVertex]{store: st, kind: updDirected}}, nil
-		},
-		Open: func(img *graphmat.SnapImage) (Instance, error) {
-			st, err := graphmat.NewStoreFromImage[HITSVertex](img)
-			if err != nil {
-				return nil, err
-			}
-			return &hitsInstance{liveGraph: liveGraph[HITSVertex]{store: st, kind: updDirected}}, nil
+			// A stopped run still carries the scores as of the stop,
+			// matching the other algorithms' partial-result contract.
+			return Result{Series: map[string][]float64{"hub": hub, "auth": auth}, Stats: stats}, err
 		},
 	})
 }
@@ -556,19 +499,7 @@ func checkSource(v uint32, n uint32, what string) error {
 	return nil
 }
 
-// noBatch is the RunBatch stub embedded by instances of algorithms with no
-// source parameter to batch over.
-type noBatch struct{}
-
-func (noBatch) RunBatch(context.Context, Params, Observer) (BatchResult, error) {
-	return BatchResult{}, ErrBatchUnsupported
-}
-
-func (noBatch) RunBatchPinned(context.Context, Pin, Params, Observer) (BatchResult, error) {
-	return BatchResult{}, ErrBatchUnsupported
-}
-
-// batchSources resolves the source list of a RunBatch call: p.Sources, with
+// batchSources resolves the source list of a run: p.Sources, with
 // {p.Source} as the single-source fallback so every Run-able parameter set
 // is also RunBatch-able.
 func batchSources(p Params) []uint32 {
@@ -578,401 +509,96 @@ func batchSources(p Params) []uint32 {
 	return []uint32{p.Source}
 }
 
-// pinnedSnap coerces a Pin handed to RunBatchPinned back to the instance's
-// concrete snapshot type. A mismatch means the caller pinned a different
-// instance's graph — a programming error surfaced as an error, not a panic,
-// because the serving layer routes pins across goroutines.
-func pinnedSnap[V any](pin Pin) (*graphmat.Snapshot[V, float32], error) {
-	s, ok := pin.(*graphmat.Snapshot[V, float32])
+// instance is the registry's one Instance implementation: an algorithm's
+// live property graph plus three functions. scratch allocates the
+// algorithm's reusable workspace; run executes one query on a pinned
+// snapshot's graph (the instance fills in Result.Epoch); batch, nil for
+// algorithms with no source parameter, executes one multi-source block run.
+type instance[V any, S comparable] struct {
+	liveGraph[V]
+	scratch func(n int, kind graphmat.VectorKind) S
+	run     func(ctx context.Context, g *graphmat.Graph[V, float32], p Params, opts ...Option) (Result, error)
+	batch   func(ctx context.Context, g *graphmat.Graph[V, float32], sources []uint32, opts ...Option) ([][]float64, graphmat.Stats, error)
+}
+
+func (i *instance[V, S]) NewScratch() any {
+	return i.scratch(int(i.NumVertices()), graphmat.Bitvector)
+}
+
+func (i *instance[V, S]) Run(p Params, scratch any) (Result, error) {
+	return i.RunContext(context.Background(), p, scratch, nil)
+}
+
+func (i *instance[V, S]) RunContext(ctx context.Context, p Params, scratch any, obs Observer) (Result, error) {
+	snap := i.store.Acquire()
+	defer snap.Release()
+	res, err := i.run(ctx, snap.Graph(), p, p.options(WithWorkspace(scratch), WithObserver(obs))...)
+	res.Epoch = snap.Epoch()
+	return res, err
+}
+
+func (i *instance[V, S]) RunBatch(ctx context.Context, p Params, obs Observer) (BatchResult, error) {
+	if i.batch == nil {
+		return BatchResult{}, ErrBatchUnsupported
+	}
+	snap := i.store.Acquire()
+	defer snap.Release()
+	return i.runBatch(ctx, snap, p, obs)
+}
+
+func (i *instance[V, S]) RunBatchPinned(ctx context.Context, pin Pin, p Params, obs Observer) (BatchResult, error) {
+	if i.batch == nil {
+		return BatchResult{}, ErrBatchUnsupported
+	}
+	// A pin of another type means the caller pinned a different instance's
+	// graph: a programming error surfaced as an error, not a panic, because
+	// the serving layer routes pins across goroutines.
+	snap, ok := pin.(*graphmat.Snapshot[V, float32])
 	if !ok {
-		return nil, fmt.Errorf("algorithms: pin of type %T does not belong to this algorithm's property graph", pin)
+		return BatchResult{}, fmt.Errorf("algorithms: pin of type %T does not belong to this algorithm's property graph", pin)
 	}
-	return s, nil
+	return i.runBatch(ctx, snap, p, obs)
 }
 
-// typedScratch coerces a pooled scratch value to the instance's workspace
-// type, allocating a fresh one when the caller passed nil.
-func typedScratch[T any](scratch any, fresh func() any) (T, error) {
-	if scratch == nil {
-		scratch = fresh()
-	}
-	t, ok := scratch.(T)
-	if !ok {
-		var zero T
-		return zero, fmt.Errorf("scratch type %T does not belong to this algorithm", scratch)
-	}
-	return t, nil
+func (i *instance[V, S]) runBatch(ctx context.Context, snap *graphmat.Snapshot[V, float32], p Params, obs Observer) (BatchResult, error) {
+	sources := batchSources(p)
+	values, stats, err := i.batch(ctx, snap.Graph(), sources, p.options(WithObserver(obs))...)
+	return BatchResult{Sources: sources, Values: values, Stats: stats, Epoch: snap.Epoch()}, err
 }
 
-type pagerankInstance struct {
-	liveGraph[PRVertex]
-	noBatch
-}
-
-func (i *pagerankInstance) NewScratch() any {
-	return graphmat.NewWorkspace[float64, float64](int(i.NumVertices()), graphmat.Bitvector)
-}
-func (i *pagerankInstance) Run(p Params, scratch any) (Result, error) {
-	return i.RunContext(context.Background(), p, scratch, nil)
-}
-func (i *pagerankInstance) RunContext(ctx context.Context, p Params, scratch any, obs Observer) (Result, error) {
-	ws, err := typedScratch[*graphmat.Workspace[float64, float64]](scratch, i.NewScratch)
-	if err != nil {
-		return Result{}, err
+// traversal builds the instance of a single-source traversal whose
+// property, message and reduction types coincide (bfs, sssp, reachability,
+// widest), widening its run and batch results to the registry's float64
+// shape.
+func traversal[V uint32 | float32](
+	kind updateKind,
+	run func(context.Context, *graphmat.Graph[V, float32], uint32, ...Option) ([]V, graphmat.Stats, error),
+	batch func(context.Context, *graphmat.Graph[V, float32], []uint32, ...Option) ([][]V, graphmat.Stats, error),
+) instance[V, *graphmat.Workspace[V, V]] {
+	return instance[V, *graphmat.Workspace[V, V]]{
+		liveGraph: liveGraph[V]{kind: kind},
+		scratch:   graphmat.NewWorkspace[V, V],
+		run: func(ctx context.Context, g *graphmat.Graph[V, float32], p Params, opts ...Option) (Result, error) {
+			out, stats, err := run(ctx, g, p.Source, opts...)
+			return Result{Values: widen(out), Stats: stats}, err
+		},
+		batch: func(ctx context.Context, g *graphmat.Graph[V, float32], sources []uint32, opts ...Option) ([][]float64, graphmat.Stats, error) {
+			out, stats, err := batch(ctx, g, sources, opts...)
+			values := make([][]float64, len(out))
+			for s, col := range out {
+				values[s] = widen(col)
+			}
+			return values, stats, err
+		},
 	}
-	snap := i.store.Acquire()
-	defer snap.Release()
-	opt := PageRankOptions{MaxIterations: p.Iterations, Tolerance: p.Tolerance, RestartProb: p.RestartProb, Config: p.config()}
-	ranks, stats, err := PageRankContext(ctx, snap.Graph(), opt, ws, obs)
-	return Result{Values: ranks, Stats: stats, Epoch: snap.Epoch()}, err
 }
 
-type bfsInstance struct {
-	liveGraph[uint32]
-}
-
-func (i *bfsInstance) NewScratch() any {
-	return graphmat.NewWorkspace[uint32, uint32](int(i.NumVertices()), graphmat.Bitvector)
-}
-func (i *bfsInstance) Run(p Params, scratch any) (Result, error) {
-	return i.RunContext(context.Background(), p, scratch, nil)
-}
-func (i *bfsInstance) RunContext(ctx context.Context, p Params, scratch any, obs Observer) (Result, error) {
-	if err := checkSource(p.Source, i.NumVertices(), "source"); err != nil {
-		return Result{}, err
-	}
-	ws, err := typedScratch[*graphmat.Workspace[uint32, uint32]](scratch, i.NewScratch)
-	if err != nil {
-		return Result{}, err
-	}
-	snap := i.store.Acquire()
-	defer snap.Release()
-	dist, stats, err := BFSContext(ctx, snap.Graph(), p.Source, p.config(), ws, obs)
-	return Result{Values: uintValues(dist), Stats: stats, Epoch: snap.Epoch()}, err
-}
-
-type ssspInstance struct {
-	liveGraph[float32]
-}
-
-func (i *ssspInstance) NewScratch() any {
-	return graphmat.NewWorkspace[float32, float32](int(i.NumVertices()), graphmat.Bitvector)
-}
-func (i *ssspInstance) Run(p Params, scratch any) (Result, error) {
-	return i.RunContext(context.Background(), p, scratch, nil)
-}
-func (i *ssspInstance) RunContext(ctx context.Context, p Params, scratch any, obs Observer) (Result, error) {
-	if err := checkSource(p.Source, i.NumVertices(), "source"); err != nil {
-		return Result{}, err
-	}
-	ws, err := typedScratch[*graphmat.Workspace[float32, float32]](scratch, i.NewScratch)
-	if err != nil {
-		return Result{}, err
-	}
-	snap := i.store.Acquire()
-	defer snap.Release()
-	dist, stats, err := SSSPContext(ctx, snap.Graph(), p.Source, p.config(), ws, obs)
-	values := make([]float64, len(dist))
-	for v, d := range dist {
-		values[v] = float64(d)
-	}
-	return Result{Values: values, Stats: stats, Epoch: snap.Epoch()}, err
-}
-
-type componentsInstance struct {
-	liveGraph[uint32]
-	noBatch
-}
-
-func (i *componentsInstance) NewScratch() any {
-	return graphmat.NewWorkspace[uint32, uint32](int(i.NumVertices()), graphmat.Bitvector)
-}
-func (i *componentsInstance) Run(p Params, scratch any) (Result, error) {
-	return i.RunContext(context.Background(), p, scratch, nil)
-}
-func (i *componentsInstance) RunContext(ctx context.Context, p Params, scratch any, obs Observer) (Result, error) {
-	ws, err := typedScratch[*graphmat.Workspace[uint32, uint32]](scratch, i.NewScratch)
-	if err != nil {
-		return Result{}, err
-	}
-	snap := i.store.Acquire()
-	defer snap.Release()
-	labels, stats, err := ConnectedComponentsContext(ctx, snap.Graph(), p.config(), ws, obs)
-	return Result{Values: uintValues(labels), Stats: stats, Epoch: snap.Epoch()}, err
-}
-
-type pprInstance struct {
-	liveGraph[PPRVertex]
-}
-
-func (i *pprInstance) NewScratch() any {
-	return graphmat.NewWorkspace[float64, float64](int(i.NumVertices()), graphmat.Bitvector)
-}
-func (i *pprInstance) Run(p Params, scratch any) (Result, error) {
-	return i.RunContext(context.Background(), p, scratch, nil)
-}
-func (i *pprInstance) RunContext(ctx context.Context, p Params, scratch any, obs Observer) (Result, error) {
-	sources := p.Sources
-	if len(sources) == 0 {
-		sources = []uint32{p.Source}
-	}
-	for _, s := range sources {
-		if err := checkSource(s, i.NumVertices(), "personalization"); err != nil {
-			return Result{}, err
-		}
-	}
-	ws, err := typedScratch[*graphmat.Workspace[float64, float64]](scratch, i.NewScratch)
-	if err != nil {
-		return Result{}, err
-	}
-	snap := i.store.Acquire()
-	defer snap.Release()
-	opt := PageRankOptions{MaxIterations: p.Iterations, Tolerance: p.Tolerance, RestartProb: p.RestartProb, Config: p.config()}
-	ranks, stats, err := PersonalizedPageRankContext(ctx, snap.Graph(), sources, opt, ws, obs)
-	return Result{Values: ranks, Stats: stats, Epoch: snap.Epoch()}, err
-}
-
-type trianglesInstance struct {
-	liveGraph[TCVertex]
-	noBatch
-}
-
-func (i *trianglesInstance) NewScratch() any {
-	return NewTriangleScratch(int(i.NumVertices()), graphmat.Bitvector)
-}
-func (i *trianglesInstance) Run(p Params, scratch any) (Result, error) {
-	return i.RunContext(context.Background(), p, scratch, nil)
-}
-func (i *trianglesInstance) RunContext(ctx context.Context, p Params, scratch any, obs Observer) (Result, error) {
-	sc, err := typedScratch[*TriangleScratch](scratch, i.NewScratch)
-	if err != nil {
-		return Result{}, err
-	}
-	snap := i.store.Acquire()
-	defer snap.Release()
-	count, stats, err := TriangleCountContext(ctx, snap.Graph(), p.config(), sc, obs)
-	return Result{Count: &count, Stats: stats, Epoch: snap.Epoch()}, err
-}
-
-type hitsInstance struct {
-	liveGraph[HITSVertex]
-	noBatch
-}
-
-func (i *hitsInstance) NewScratch() any {
-	return graphmat.NewWorkspace[float64, float64](int(i.NumVertices()), graphmat.Bitvector)
-}
-func (i *hitsInstance) Run(p Params, scratch any) (Result, error) {
-	return i.RunContext(context.Background(), p, scratch, nil)
-}
-func (i *hitsInstance) RunContext(ctx context.Context, p Params, scratch any, obs Observer) (Result, error) {
-	ws, err := typedScratch[*graphmat.Workspace[float64, float64]](scratch, i.NewScratch)
-	if err != nil {
-		return Result{}, err
-	}
-	snap := i.store.Acquire()
-	defer snap.Release()
-	scores, stats, err := HITSContext(ctx, snap.Graph(), HITSOptions{Iterations: p.Iterations, Config: p.config()}, ws, obs)
-	hub := make([]float64, len(scores))
-	auth := make([]float64, len(scores))
-	for v, s := range scores {
-		hub[v] = s.Hub
-		auth[v] = s.Auth
-	}
-	// A stopped run still carries the scores as of the stop, matching the
-	// other algorithms' partial-result contract.
-	return Result{Series: map[string][]float64{"hub": hub, "auth": auth}, Stats: stats, Epoch: snap.Epoch()}, err
-}
-
-// uintValues widens a uint32 result series to the registry's float64 result
-// shape; uint32 is exactly representable in float64, so the conversion is
-// lossless.
-func uintValues(s []uint32) []float64 {
+// widen converts a uint32 or float32 result series to the registry's
+// float64 result shape; both convert exactly.
+func widen[T uint32 | float32](s []T) []float64 {
 	out := make([]float64, len(s))
 	for v, x := range s {
 		out[v] = float64(x)
 	}
 	return out
-}
-
-// RunBatch executes one BFS per source as a single multi-source block run;
-// per-source distances are bit-identical to single-source Run calls.
-func (i *bfsInstance) RunBatch(ctx context.Context, p Params, obs Observer) (BatchResult, error) {
-	snap := i.store.Acquire()
-	defer snap.Release()
-	return i.runBatch(ctx, snap, p, obs)
-}
-
-func (i *bfsInstance) RunBatchPinned(ctx context.Context, pin Pin, p Params, obs Observer) (BatchResult, error) {
-	snap, err := pinnedSnap[uint32](pin)
-	if err != nil {
-		return BatchResult{}, err
-	}
-	return i.runBatch(ctx, snap, p, obs)
-}
-
-func (i *bfsInstance) runBatch(ctx context.Context, snap *graphmat.Snapshot[uint32, float32], p Params, obs Observer) (BatchResult, error) {
-	sources := batchSources(p)
-	dists, stats, err := RunBFSBatch(ctx, snap.Graph(), sources, WithConfig(p.config()), WithObserver(obs))
-	values := make([][]float64, len(dists))
-	for s, d := range dists {
-		values[s] = uintValues(d)
-	}
-	return BatchResult{Sources: sources, Values: values, Stats: stats, Epoch: snap.Epoch()}, err
-}
-
-// RunBatch executes one SSSP per source as a single multi-source block run.
-func (i *ssspInstance) RunBatch(ctx context.Context, p Params, obs Observer) (BatchResult, error) {
-	snap := i.store.Acquire()
-	defer snap.Release()
-	return i.runBatch(ctx, snap, p, obs)
-}
-
-func (i *ssspInstance) RunBatchPinned(ctx context.Context, pin Pin, p Params, obs Observer) (BatchResult, error) {
-	snap, err := pinnedSnap[float32](pin)
-	if err != nil {
-		return BatchResult{}, err
-	}
-	return i.runBatch(ctx, snap, p, obs)
-}
-
-func (i *ssspInstance) runBatch(ctx context.Context, snap *graphmat.Snapshot[float32, float32], p Params, obs Observer) (BatchResult, error) {
-	sources := batchSources(p)
-	dists, stats, err := RunSSSPBatch(ctx, snap.Graph(), sources, WithConfig(p.config()), WithObserver(obs))
-	values := make([][]float64, len(dists))
-	for s, d := range dists {
-		row := make([]float64, len(d))
-		for v, x := range d {
-			row[v] = float64(x)
-		}
-		values[s] = row
-	}
-	return BatchResult{Sources: sources, Values: values, Stats: stats, Epoch: snap.Epoch()}, err
-}
-
-// RunBatch executes one single-source personalized PageRank per source as a
-// multi-source block run. Note the semantic difference from Run: Run with k
-// sources computes ONE rank vector personalized to the whole set, RunBatch
-// computes k independent vectors, one per source.
-func (i *pprInstance) RunBatch(ctx context.Context, p Params, obs Observer) (BatchResult, error) {
-	snap := i.store.Acquire()
-	defer snap.Release()
-	return i.runBatch(ctx, snap, p, obs)
-}
-
-func (i *pprInstance) RunBatchPinned(ctx context.Context, pin Pin, p Params, obs Observer) (BatchResult, error) {
-	snap, err := pinnedSnap[PPRVertex](pin)
-	if err != nil {
-		return BatchResult{}, err
-	}
-	return i.runBatch(ctx, snap, p, obs)
-}
-
-func (i *pprInstance) runBatch(ctx context.Context, snap *graphmat.Snapshot[PPRVertex, float32], p Params, obs Observer) (BatchResult, error) {
-	sources := batchSources(p)
-	values, stats, err := RunPersonalizedPageRankBatch(ctx, snap.Graph(), sources,
-		WithConfig(p.config()), WithIterations(p.Iterations), WithTolerance(p.Tolerance), WithRestartProb(p.RestartProb), WithObserver(obs))
-	return BatchResult{Sources: sources, Values: values, Stats: stats, Epoch: snap.Epoch()}, err
-}
-
-type reachabilityInstance struct {
-	liveGraph[uint32]
-}
-
-func (i *reachabilityInstance) NewScratch() any {
-	return graphmat.NewWorkspace[uint32, uint32](int(i.NumVertices()), graphmat.Bitvector)
-}
-func (i *reachabilityInstance) Run(p Params, scratch any) (Result, error) {
-	return i.RunContext(context.Background(), p, scratch, nil)
-}
-func (i *reachabilityInstance) RunContext(ctx context.Context, p Params, scratch any, obs Observer) (Result, error) {
-	if err := checkSource(p.Source, i.NumVertices(), "source"); err != nil {
-		return Result{}, err
-	}
-	ws, err := typedScratch[*graphmat.Workspace[uint32, uint32]](scratch, i.NewScratch)
-	if err != nil {
-		return Result{}, err
-	}
-	snap := i.store.Acquire()
-	defer snap.Release()
-	reached, stats, err := RunReachability(ctx, snap.Graph(), p.Source, WithConfig(p.config()), WithWorkspace(ws), WithObserver(obs))
-	return Result{Values: uintValues(reached), Stats: stats, Epoch: snap.Epoch()}, err
-}
-func (i *reachabilityInstance) RunBatch(ctx context.Context, p Params, obs Observer) (BatchResult, error) {
-	snap := i.store.Acquire()
-	defer snap.Release()
-	return i.runBatch(ctx, snap, p, obs)
-}
-
-func (i *reachabilityInstance) RunBatchPinned(ctx context.Context, pin Pin, p Params, obs Observer) (BatchResult, error) {
-	snap, err := pinnedSnap[uint32](pin)
-	if err != nil {
-		return BatchResult{}, err
-	}
-	return i.runBatch(ctx, snap, p, obs)
-}
-
-func (i *reachabilityInstance) runBatch(ctx context.Context, snap *graphmat.Snapshot[uint32, float32], p Params, obs Observer) (BatchResult, error) {
-	sources := batchSources(p)
-	flags, stats, err := RunReachabilityBatch(ctx, snap.Graph(), sources, WithConfig(p.config()), WithObserver(obs))
-	values := make([][]float64, len(flags))
-	for s, f := range flags {
-		values[s] = uintValues(f)
-	}
-	return BatchResult{Sources: sources, Values: values, Stats: stats, Epoch: snap.Epoch()}, err
-}
-
-type widestInstance struct {
-	liveGraph[float32]
-}
-
-func (i *widestInstance) NewScratch() any {
-	return graphmat.NewWorkspace[float32, float32](int(i.NumVertices()), graphmat.Bitvector)
-}
-func (i *widestInstance) Run(p Params, scratch any) (Result, error) {
-	return i.RunContext(context.Background(), p, scratch, nil)
-}
-func (i *widestInstance) RunContext(ctx context.Context, p Params, scratch any, obs Observer) (Result, error) {
-	if err := checkSource(p.Source, i.NumVertices(), "source"); err != nil {
-		return Result{}, err
-	}
-	ws, err := typedScratch[*graphmat.Workspace[float32, float32]](scratch, i.NewScratch)
-	if err != nil {
-		return Result{}, err
-	}
-	snap := i.store.Acquire()
-	defer snap.Release()
-	width, stats, err := RunWidestPath(ctx, snap.Graph(), p.Source, WithConfig(p.config()), WithWorkspace(ws), WithObserver(obs))
-	values := make([]float64, len(width))
-	for v, x := range width {
-		values[v] = float64(x)
-	}
-	return Result{Values: values, Stats: stats, Epoch: snap.Epoch()}, err
-}
-func (i *widestInstance) RunBatch(ctx context.Context, p Params, obs Observer) (BatchResult, error) {
-	snap := i.store.Acquire()
-	defer snap.Release()
-	return i.runBatch(ctx, snap, p, obs)
-}
-
-func (i *widestInstance) RunBatchPinned(ctx context.Context, pin Pin, p Params, obs Observer) (BatchResult, error) {
-	snap, err := pinnedSnap[float32](pin)
-	if err != nil {
-		return BatchResult{}, err
-	}
-	return i.runBatch(ctx, snap, p, obs)
-}
-
-func (i *widestInstance) runBatch(ctx context.Context, snap *graphmat.Snapshot[float32, float32], p Params, obs Observer) (BatchResult, error) {
-	sources := batchSources(p)
-	widths, stats, err := RunWidestPathBatch(ctx, snap.Graph(), sources, WithConfig(p.config()), WithObserver(obs))
-	values := make([][]float64, len(widths))
-	for s, w := range widths {
-		row := make([]float64, len(w))
-		for v, x := range w {
-			row[v] = float64(x)
-		}
-		values[s] = row
-	}
-	return BatchResult{Sources: sources, Values: values, Stats: stats, Epoch: snap.Epoch()}, err
 }

@@ -1,7 +1,9 @@
 package algorithms_test
 
 import (
+	"context"
 	"math"
+	"reflect"
 	"runtime"
 	"testing"
 
@@ -55,7 +57,10 @@ func TestRegistryMatchesDirectCalls(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, _ := algorithms.PageRank(g, algorithms.PageRankOptions{MaxIterations: 15})
+		want, _, err := algorithms.RunPageRank(context.Background(), g, algorithms.WithIterations(15))
+		if err != nil {
+			t.Fatal(err)
+		}
 		compareFloat64(t, res.Values, want)
 	})
 	t.Run("bfs", func(t *testing.T) {
@@ -68,7 +73,10 @@ func TestRegistryMatchesDirectCalls(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, _ := algorithms.BFS(g, 3, graphmat.Config{})
+		want, _, err := algorithms.RunBFS(context.Background(), g, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for v := range want {
 			if res.Values[v] != float64(want[v]) {
 				t.Fatalf("vertex %d: got %v, want %d", v, res.Values[v], want[v])
@@ -85,7 +93,10 @@ func TestRegistryMatchesDirectCalls(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, _ := algorithms.SSSP(g, 5, graphmat.Config{})
+		want, _, err := algorithms.RunSSSP(context.Background(), g, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for v := range want {
 			if res.Values[v] != float64(want[v]) {
 				t.Fatalf("vertex %d: got %v, want %v", v, res.Values[v], want[v])
@@ -102,7 +113,10 @@ func TestRegistryMatchesDirectCalls(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, _ := algorithms.ConnectedComponents(g, graphmat.Config{})
+		want, _, err := algorithms.RunConnectedComponents(context.Background(), g)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for v := range want {
 			if res.Values[v] != float64(want[v]) {
 				t.Fatalf("vertex %d: got %v, want %d", v, res.Values[v], want[v])
@@ -119,7 +133,10 @@ func TestRegistryMatchesDirectCalls(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, _ := algorithms.PersonalizedPageRank(g, []uint32{1, 2}, algorithms.PageRankOptions{MaxIterations: 10})
+		want, _, err := algorithms.RunPersonalizedPageRank(context.Background(), g, []uint32{1, 2}, algorithms.WithIterations(10))
+		if err != nil {
+			t.Fatal(err)
+		}
 		compareFloat64(t, res.Values, want)
 	})
 	t.Run("triangles", func(t *testing.T) {
@@ -132,7 +149,10 @@ func TestRegistryMatchesDirectCalls(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, _ := algorithms.TriangleCount(g, graphmat.Config{})
+		want, _, err := algorithms.RunTriangleCount(context.Background(), g)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if res.Count == nil || *res.Count != want {
 			t.Fatalf("count = %v, want %d", res.Count, want)
 		}
@@ -147,7 +167,10 @@ func TestRegistryMatchesDirectCalls(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, _ := algorithms.HITS(g, algorithms.HITSOptions{Iterations: 8})
+		want, _, err := algorithms.RunHITS(context.Background(), g, algorithms.WithIterations(8))
+		if err != nil {
+			t.Fatal(err)
+		}
 		for v := range want {
 			if res.Series["hub"][v] != want[v].Hub || res.Series["auth"][v] != want[v].Auth {
 				t.Fatalf("vertex %d: got hub=%v auth=%v, want %+v", v, res.Series["hub"][v], res.Series["auth"][v], want[v])
@@ -185,6 +208,135 @@ func TestScratchTypeMismatch(t *testing.T) {
 	_, pr := buildInstance(t, "pagerank")
 	if _, err := bfs.Run(algorithms.Params{}, pr.NewScratch()); err == nil {
 		t.Fatal("expected error passing pagerank scratch to bfs")
+	}
+}
+
+// TestTypedNilScratch checks that a typed nil scratch pointer — the
+// algorithm's own scratch type, holding nil — allocates fresh scratch like an
+// untyped nil, through both Run and RunContext, instead of panicking.
+func TestTypedNilScratch(t *testing.T) {
+	for _, name := range algorithms.Names() {
+		t.Run(name, func(t *testing.T) {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("typed nil scratch panicked: %v", r)
+				}
+			}()
+			_, inst := buildInstance(t, name)
+			p := algorithms.Params{Source: 2, Iterations: 10}
+			fresh, err := inst.Run(p, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			typedNil := reflect.Zero(reflect.TypeOf(inst.NewScratch())).Interface()
+			res, err := inst.Run(p, typedNil)
+			if err != nil {
+				t.Fatalf("Run: %v", err)
+			}
+			compareResults(t, res, fresh)
+			res, err = inst.RunContext(context.Background(), p, typedNil, nil)
+			if err != nil {
+				t.Fatalf("RunContext: %v", err)
+			}
+			compareResults(t, res, fresh)
+		})
+	}
+}
+
+// TestRunWrongWorkspaceType checks that every Run<Algo> entry point answers a
+// WithWorkspace value of a type no algorithm uses with an error, not a panic.
+func TestRunWrongWorkspaceType(t *testing.T) {
+	ctx := context.Background()
+	type run func(t *testing.T, ws algorithms.Option) error
+	cases := map[string]run{
+		"bfs": func(t *testing.T, ws algorithms.Option) error {
+			g, err := algorithms.NewBFSGraph(testCOO(), 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, _, err = algorithms.RunBFS(ctx, g, 0, ws)
+			return err
+		},
+		"sssp": func(t *testing.T, ws algorithms.Option) error {
+			g, err := algorithms.NewSSSPGraph(testCOO(), 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, _, err = algorithms.RunSSSP(ctx, g, 0, ws)
+			return err
+		},
+		"pagerank": func(t *testing.T, ws algorithms.Option) error {
+			g, err := algorithms.NewPageRankGraph(testCOO(), 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, _, err = algorithms.RunPageRank(ctx, g, ws)
+			return err
+		},
+		"ppr": func(t *testing.T, ws algorithms.Option) error {
+			g, err := algorithms.NewPersonalizedPageRankGraph(testCOO(), 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, _, err = algorithms.RunPersonalizedPageRank(ctx, g, []uint32{0}, ws)
+			return err
+		},
+		"components": func(t *testing.T, ws algorithms.Option) error {
+			g, err := algorithms.NewCCGraph(testCOO(), 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, _, err = algorithms.RunConnectedComponents(ctx, g, ws)
+			return err
+		},
+		"hits": func(t *testing.T, ws algorithms.Option) error {
+			g, err := algorithms.NewHITSGraph(testCOO(), 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, _, err = algorithms.RunHITS(ctx, g, ws)
+			return err
+		},
+		"triangles": func(t *testing.T, ws algorithms.Option) error {
+			g, err := algorithms.NewTriangleGraph(testCOO(), 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, _, err = algorithms.RunTriangleCount(ctx, g, ws)
+			return err
+		},
+		"reachability": func(t *testing.T, ws algorithms.Option) error {
+			g, err := algorithms.NewReachabilityGraph(testCOO(), 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, _, err = algorithms.RunReachability(ctx, g, 0, ws)
+			return err
+		},
+		"widest": func(t *testing.T, ws algorithms.Option) error {
+			g, err := algorithms.NewWidestPathGraph(testCOO(), 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, _, err = algorithms.RunWidestPath(ctx, g, 0, ws)
+			return err
+		},
+	}
+	if len(cases) != len(algorithms.Names()) {
+		t.Fatalf("%d cases for %d registered algorithms", len(cases), len(algorithms.Names()))
+	}
+	wrong := algorithms.WithWorkspace(graphmat.NewWorkspace[uint64, uint64](64, graphmat.Bitvector))
+	for name, run := range cases {
+		t.Run(name, func(t *testing.T) {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("wrong workspace type panicked: %v", r)
+				}
+			}()
+			if err := run(t, wrong); err == nil {
+				t.Fatal("expected an error for a wrong workspace type")
+			}
+		})
 	}
 }
 

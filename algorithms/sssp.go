@@ -3,6 +3,7 @@ package algorithms
 import (
 	"context"
 	"math"
+	"slices"
 
 	"graphmat"
 )
@@ -62,52 +63,33 @@ func (SSSPProgram) ReducesByMinPlusF32() {}
 // NewSSSPGraph builds the SSSP property graph: self-loops removed, directed
 // edges kept as-is with their weights (§5.1). The input is consumed.
 func NewSSSPGraph(adj *graphmat.COO[float32], partitions int) (*graphmat.Graph[float32, float32], error) {
-	adj.RemoveSelfLoops()
-	return graphmat.New[float32](adj, graphmat.Options{Partitions: partitions})
+	return graphmat.New[float32](preprocess(adj, updDirected), graphmat.Options{Partitions: partitions})
 }
 
 // NewSSSPStore is NewSSSPGraph as a versioned store: the same preprocessing
 // and epoch-0 graph, plus live edge updates via ApplyEdges.
 func NewSSSPStore(adj *graphmat.COO[float32], partitions int) (*graphmat.Store[float32, float32], error) {
-	adj.RemoveSelfLoops()
-	return graphmat.NewStore[float32](adj, graphmat.Options{Partitions: partitions})
+	return graphmat.NewStore[float32](preprocess(adj, updDirected), graphmat.Options{Partitions: partitions})
 }
 
-// SSSP computes shortest-path distances from src on a graph built by
-// NewSSSPGraph. Unreachable vertices report InfDist.
-//
-// Deprecated: use RunSSSP with WithConfig.
-func SSSP(g *graphmat.Graph[float32, float32], src uint32, cfg graphmat.Config) ([]float32, graphmat.Stats) {
-	ws := graphmat.NewWorkspace[float32, float32](int(g.NumVertices()), cfg.Vector)
-	dist, stats, err := SSSPWithWorkspace(g, src, cfg, ws)
-	if err != nil {
-		panic(err) // workspace built for this graph and config above
+// RunSSSP computes shortest-path distances from src on a graph built by
+// NewSSSPGraph; unreachable vertices report InfDist. Options and the
+// stopped-run contract as in RunBFS (workspace type
+// *graphmat.Workspace[float32, float32]); a stopped run returns the best
+// distances found so far.
+func RunSSSP(ctx context.Context, g *graphmat.Graph[float32, float32], src uint32, opts ...Option) ([]float32, graphmat.Stats, error) {
+	set := newSettings(opts)
+	if err := checkSource(src, g.NumVertices(), "source"); err != nil {
+		return nil, graphmat.Stats{}, err
 	}
-	return dist, stats
-}
-
-// SSSPWithWorkspace is SSSP with caller-managed engine scratch for repeated
-// queries on one graph.
-//
-// Deprecated: use RunSSSP with WithWorkspace.
-func SSSPWithWorkspace(g *graphmat.Graph[float32, float32], src uint32, cfg graphmat.Config, ws *graphmat.Workspace[float32, float32]) ([]float32, graphmat.Stats, error) {
-	return SSSPContext(context.Background(), g, src, cfg, ws, nil)
-}
-
-// SSSPContext is SSSP as a cancelable, observable session; see BFSContext
-// for the contract. A stopped run returns the best distances found so far.
-//
-// Deprecated: use RunSSSP with WithObserver; this remains the implementation
-// behind it.
-func SSSPContext(ctx context.Context, g *graphmat.Graph[float32, float32], src uint32, cfg graphmat.Config, ws *graphmat.Workspace[float32, float32], obs Observer) ([]float32, graphmat.Stats, error) {
+	ws, err := workspaceFor(set, g.NumVertices(), graphmat.NewWorkspace[float32, float32])
+	if err != nil {
+		return nil, graphmat.Stats{}, err
+	}
 	g.SetAllProps(InfDist)
 	g.SetProp(src, 0)
 	g.ClearActive()
 	g.SetActive(src)
-	stats, err := graphmat.RunContext(ctx, g, SSSPProgram{}, cfg, ws, newSession(obs).options()...)
-	dist := make([]float32, g.NumVertices())
-	for v := range dist {
-		dist[v] = g.Prop(uint32(v))
-	}
-	return dist, stats, err
+	stats, err := graphmat.RunContext(ctx, g, SSSPProgram{}, set.cfg, ws, newSession(set.obs).options()...)
+	return slices.Clone(g.Props()), stats, err
 }

@@ -85,37 +85,13 @@ func intersectCount(a, b []uint32) int64 {
 // lower triangle discarded so the graph is a DAG with every edge u→v
 // satisfying u < v. The input is consumed.
 func NewTriangleGraph(adj *graphmat.COO[float32], partitions int) (*graphmat.Graph[TCVertex, float32], error) {
-	adj.RemoveSelfLoops()
-	adj.SortRowMajor()
-	adj.DedupKeepFirst()
-	adj.Symmetrize()
-	adj.UpperTriangle()
-	return graphmat.New[TCVertex](adj, graphmat.Options{Partitions: partitions})
+	return graphmat.New[TCVertex](preprocess(adj, updUpperTriangle), graphmat.Options{Partitions: partitions})
 }
 
 // NewTriangleStore is NewTriangleGraph as a versioned store: the same
 // preprocessing and epoch-0 graph, plus live edge updates via ApplyEdges.
 func NewTriangleStore(adj *graphmat.COO[float32], partitions int) (*graphmat.Store[TCVertex, float32], error) {
-	adj.RemoveSelfLoops()
-	adj.SortRowMajor()
-	adj.DedupKeepFirst()
-	adj.Symmetrize()
-	adj.UpperTriangle()
-	return graphmat.NewStore[TCVertex](adj, graphmat.Options{Partitions: partitions})
-}
-
-// TriangleCount runs the two-phase vertex-program pipeline and returns the
-// number of triangles. Vertex state is reinitialized, so the graph is
-// reusable across runs.
-//
-// Deprecated: use RunTriangleCount.
-func TriangleCount(g *graphmat.Graph[TCVertex, float32], cfg graphmat.Config) (int64, graphmat.Stats) {
-	scratch := NewTriangleScratch(int(g.NumVertices()), cfg.Vector)
-	count, stats, err := TriangleCountWithWorkspace(g, cfg, scratch)
-	if err != nil {
-		panic(err) // scratch built for this graph and config above
-	}
-	return count, stats
+	return graphmat.NewStore[TCVertex](preprocess(adj, updUpperTriangle), graphmat.Options{Partitions: partitions})
 }
 
 // TriangleScratch is the reusable engine scratch for the two-phase triangle
@@ -140,25 +116,23 @@ func (s *TriangleScratch) Reset() {
 	s.Phase2.Reset()
 }
 
-// TriangleCountWithWorkspace is TriangleCount with caller-managed scratch
-// for repeated counts on one graph.
-//
-// Deprecated: use RunTriangleCount with WithWorkspace.
-func TriangleCountWithWorkspace(g *graphmat.Graph[TCVertex, float32], cfg graphmat.Config, scratch *TriangleScratch) (int64, graphmat.Stats, error) {
-	return TriangleCountContext(context.Background(), g, cfg, scratch, nil)
-}
-
-// TriangleCountContext is TriangleCount as a cancelable, observable session.
-// The observer sees one report per phase (the pipeline is two one-superstep
-// vertex programs). A stopped run returns count 0 with the stop cause.
-//
-// Deprecated: use RunTriangleCount with WithObserver; this remains the
-// implementation behind it.
-func TriangleCountContext(ctx context.Context, g *graphmat.Graph[TCVertex, float32], cfg graphmat.Config, scratch *TriangleScratch, obs Observer) (int64, graphmat.Stats, error) {
+// RunTriangleCount runs the two-phase vertex-program pipeline on a graph
+// built by NewTriangleGraph and returns the number of triangles. Vertex
+// state is reinitialized, so the graph is reusable across runs. Options: the
+// engine options; the workspace type is *TriangleScratch. The observer sees
+// one report per phase (the pipeline is two one-superstep vertex programs).
+// A stopped run returns count 0 with the stop cause.
+func RunTriangleCount(ctx context.Context, g *graphmat.Graph[TCVertex, float32], opts ...Option) (int64, graphmat.Stats, error) {
+	set := newSettings(opts)
+	scratch, err := workspaceFor(set, g.NumVertices(), NewTriangleScratch)
+	if err != nil {
+		return 0, graphmat.Stats{}, err
+	}
+	cfg := set.cfg
 	g.SetAllProps(TCVertex{})
 	g.SetAllActive()
 	cfg.MaxIterations = 1
-	sess := newSession(obs)
+	sess := newSession(set.obs)
 	stats, err := graphmat.RunContext(ctx, g, tcPhase1{}, cfg, scratch.Phase1, sess.options()...)
 	if err != nil {
 		return 0, stats, err
@@ -176,8 +150,8 @@ func TriangleCountContext(ctx context.Context, g *graphmat.Graph[TCVertex, float
 	stats.Reason = graphmat.Converged
 
 	var total int64
-	for v := uint32(0); v < g.NumVertices(); v++ {
-		total += g.Prop(v).Count
+	for _, p := range g.Props() {
+		total += p.Count
 	}
 	return total, stats, nil
 }

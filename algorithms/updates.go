@@ -33,16 +33,33 @@ type updateKind int
 
 const (
 	// updDirected: self-loops dropped, directed edges kept as-is
-	// (pagerank, ppr, hits, sssp).
+	// (pagerank, ppr, hits, sssp, reachability, widest).
 	updDirected updateKind = iota
 	// updSymmetric: self-loops dropped, edge set symmetrized with original
 	// edges taking value precedence over replicated reversals
-	// (bfs, components).
+	// (bfs, components, cf).
 	updSymmetric
 	// updUpperTriangle: symmetrized then restricted to src < dst
 	// (triangles).
 	updUpperTriangle
 )
+
+// preprocess applies an algorithm's preprocessing (§5.1) to raw adjacency
+// triples in place and returns them: self-loops are always removed;
+// updSymmetric and updUpperTriangle also symmetrize the deduplicated edge
+// set, and updUpperTriangle then keeps only the edges u→v with u < v.
+func preprocess(adj *graphmat.COO[float32], kind updateKind) *graphmat.COO[float32] {
+	adj.RemoveSelfLoops()
+	if kind != updDirected {
+		adj.SortRowMajor()
+		adj.DedupKeepFirst()
+		adj.Symmetrize()
+	}
+	if kind == updUpperTriangle {
+		adj.UpperTriangle()
+	}
+	return adj
+}
 
 // translateUpdates maps raw edge updates into the property-graph updates an
 // algorithm's preprocessing implies. The lookup must reflect the POST-batch

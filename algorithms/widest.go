@@ -3,6 +3,7 @@ package algorithms
 import (
 	"context"
 	"math"
+	"slices"
 
 	"graphmat"
 )
@@ -62,14 +63,12 @@ func (WidestPathProgram) ReducesByMaxMinF32() {}
 // removed, directed weighted edges kept as-is (weights are capacities). The
 // input is consumed.
 func NewWidestPathGraph(adj *graphmat.COO[float32], partitions int) (*graphmat.Graph[float32, float32], error) {
-	adj.RemoveSelfLoops()
-	return graphmat.New[float32](adj, graphmat.Options{Partitions: partitions})
+	return graphmat.New[float32](preprocess(adj, updDirected), graphmat.Options{Partitions: partitions})
 }
 
 // NewWidestPathStore is NewWidestPathGraph as a versioned store.
 func NewWidestPathStore(adj *graphmat.COO[float32], partitions int) (*graphmat.Store[float32, float32], error) {
-	adj.RemoveSelfLoops()
-	return graphmat.NewStore[float32](adj, graphmat.Options{Partitions: partitions})
+	return graphmat.NewStore[float32](preprocess(adj, updDirected), graphmat.Options{Partitions: partitions})
 }
 
 // RunWidestPath computes bottleneck path widths from src: out[v] is the
@@ -79,7 +78,10 @@ func NewWidestPathStore(adj *graphmat.COO[float32], partitions int) (*graphmat.S
 // (*graphmat.Workspace[float32, float32]), WithObserver.
 func RunWidestPath(ctx context.Context, g *graphmat.Graph[float32, float32], src uint32, opts ...Option) ([]float32, graphmat.Stats, error) {
 	set := newSettings(opts)
-	ws, err := settingsWorkspace[float32, float32](int(g.NumVertices()), set)
+	if err := checkSource(src, g.NumVertices(), "source"); err != nil {
+		return nil, graphmat.Stats{}, err
+	}
+	ws, err := workspaceFor(set, g.NumVertices(), graphmat.NewWorkspace[float32, float32])
 	if err != nil {
 		return nil, graphmat.Stats{}, err
 	}
@@ -88,9 +90,5 @@ func RunWidestPath(ctx context.Context, g *graphmat.Graph[float32, float32], src
 	g.ClearActive()
 	g.SetActive(src)
 	stats, err := graphmat.RunContext(ctx, g, WidestPathProgram{}, set.cfg, ws, newSession(set.obs).options()...)
-	width := make([]float32, g.NumVertices())
-	for v := range width {
-		width[v] = g.Prop(uint32(v))
-	}
-	return width, stats, err
+	return slices.Clone(g.Props()), stats, err
 }

@@ -10,8 +10,8 @@ import (
 )
 
 // Multi-source benchmarks: the throughput of answering k independent
-// single-source queries as one n×k block run versus k scalar runs. These
-// are the BENCH_multi.json baseline (make bench-multi). k=1 measures the
+// single-source queries as one n×k block run versus k scalar runs (make
+// bench-multi). k=1 measures the
 // block path's overhead over the scalar kernel; k=8 and k=32 measure the
 // SpMV→SpMM amortization — one adjacency sweep serving every
 // still-unconverged column. Dataset size follows GRAPHMAT_BENCH_SHIFT like

@@ -300,8 +300,7 @@ func BenchmarkFig7Ablation(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------------
-// Ingestion benchmarks (recorded in BENCH_ingest.json): the parallel load
-// pipeline at 1/4/8 workers. Worker counts beyond GOMAXPROCS still measure
+// Ingestion benchmarks: the parallel load pipeline at 1/4/8 workers. Worker counts beyond GOMAXPROCS still measure
 // correctly — they exercise oversubscription, not speedup.
 
 // ingestWorkerCounts is the ladder every ingestion benchmark climbs.

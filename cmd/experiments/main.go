@@ -143,18 +143,14 @@ func convergence(o bench.Options) {
 	fmt.Printf("# PageRank convergence — RMAT scale %d (%d vertices, %d edges), tolerance %g\n",
 		scale, n, g.NumEdges(), tolerance)
 	fmt.Printf("%-5s  %12s  %12s  %9s  %9s\n", "iter", "unconverged", "frac", "step_ms", "total_ms")
-	opt := algorithms.PageRankOptions{
-		MaxIterations: iters,
-		Tolerance:     tolerance,
-		Config:        graphmat.Config{Threads: o.Threads},
-	}
-	_, stats, err := algorithms.PageRankContext(context.Background(), g, opt, nil,
-		func(info graphmat.IterationInfo) error {
+	_, stats, err := algorithms.RunPageRank(context.Background(), g,
+		algorithms.WithIterations(iters), algorithms.WithTolerance(tolerance), algorithms.WithThreads(o.Threads),
+		algorithms.WithObserver(func(info graphmat.IterationInfo) error {
 			fmt.Printf("%-5d  %12d  %12.6f  %9.3f  %9.3f\n",
 				info.Iteration, info.NextActive, float64(info.NextActive)/float64(n),
 				float64(info.Elapsed.Microseconds())/1000, float64(info.Total.Microseconds())/1000)
 			return nil
-		})
+		}))
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "pagerank: %v\n", err)
 		os.Exit(1)

@@ -49,6 +49,29 @@ import (
 	"graphmat/internal/server"
 )
 
+// Connection limits of the HTTP listener. A client must finish its request
+// headers within readHeaderTimeout and within maxHeaderBytes, and an idle
+// keep-alive connection is closed after idleTimeout, so a stalled or
+// abandoned client cannot hold a connection open forever. Bodies and
+// responses have no whole-request deadline: uploads may be large and
+// streamed runs long-lived, and each has its own limits in the server.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+	maxHeaderBytes    = 64 << 10
+)
+
+// newHTTPServer builds the daemon's listener for handler h on addr.
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+		MaxHeaderBytes:    maxHeaderBytes,
+	}
+}
+
 // graphFlags collects repeated -graph name=spec values.
 type graphFlags []string
 
@@ -105,7 +128,7 @@ func main() {
 		logger.Printf("loaded %s (%s) in %s", name, src.Describe(), time.Since(start).Round(time.Millisecond))
 	}
 
-	httpSrv := &http.Server{Addr: *addr, Handler: srv}
+	httpSrv := newHTTPServer(*addr, srv)
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 

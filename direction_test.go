@@ -1,6 +1,7 @@
 package graphmat_test
 
 import (
+	"context"
 	"math"
 	"runtime"
 	"testing"
@@ -94,7 +95,7 @@ func TestDirectionOptimizedBFS18(t *testing.T) {
 		for round := 0; round < 3; round++ {
 			start := time.Now()
 			for r := 0; r < reps; r++ {
-				d, s, err := algorithms.BFSWithWorkspace(g, root, graphmat.Config{Mode: mode}, ws)
+				d, s, err := algorithms.RunBFS(context.Background(), g, root, algorithms.WithMode(mode), algorithms.WithWorkspace(ws))
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -1,6 +1,7 @@
 package graphmat_test
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -11,10 +12,9 @@ import (
 )
 
 // Engine-side benchmarks: the kernel backend × mode × worker matrix for one
-// traversal workload (BFS) and one dense iterative workload (PageRank). These
-// are the BENCH_engine.json baseline — the ingestion benchmarks
-// (BENCH_ingest.json) cover the load path; these cover the superstep loop.
-// Dataset size follows GRAPHMAT_BENCH_SHIFT like the figure benchmarks
+// traversal workload (BFS) and one dense iterative workload (PageRank), run
+// by make bench-engine. The ingestion benchmarks cover the load path; these
+// cover the superstep loop. Dataset size follows GRAPHMAT_BENCH_SHIFT like the figure benchmarks
 // (default -3 → RMAT scale 11).
 //
 // The backend dimension sweeps every SIMD backend the CPU supports plus the
@@ -35,7 +35,7 @@ var engineWorkers = []int{1, 4, 8}
 // reportSchedMetrics attaches the scheduler runtime's utilization counters
 // to the benchmark result: tasks and steals per op, and busy-util — the
 // fraction of worker×wall time spent inside task bodies (1.0 = perfectly
-// busy workers). benchrecord folds these into BENCH_engine.json.
+// busy workers).
 func reportSchedMetrics(b *testing.B, s graphmat.SchedStats, workers int) {
 	b.ReportMetric(float64(s.Tasks)/float64(b.N), "sched-tasks/op")
 	b.ReportMetric(float64(s.Steals)/float64(b.N), "steals/op")
@@ -81,7 +81,8 @@ func BenchmarkEngineBFS(b *testing.B) {
 					b.SetBytes(g.NumEdges()) // edges traversed per op, for MB/s-style throughput
 					var sched graphmat.SchedStats
 					for i := 0; i < b.N; i++ {
-						_, stats, err := algorithms.BFSWithWorkspace(g, root, graphmat.Config{Threads: workers, Mode: mode}, ws)
+						_, stats, err := algorithms.RunBFS(context.Background(), g, root,
+							algorithms.WithThreads(workers), algorithms.WithMode(mode), algorithms.WithWorkspace(ws))
 						if err != nil {
 							b.Fatal(err)
 						}
@@ -108,13 +109,10 @@ func BenchmarkEnginePageRank(b *testing.B) {
 		for _, mode := range engineModes() {
 			for _, workers := range engineWorkers {
 				b.Run(fmt.Sprintf("mode_%s/workers_%d", mode, workers), func(b *testing.B) {
-					opt := algorithms.PageRankOptions{
-						MaxIterations: 10,
-						Config:        graphmat.Config{Threads: workers, Mode: mode},
-					}
 					var sched graphmat.SchedStats
 					for i := 0; i < b.N; i++ {
-						_, stats, err := algorithms.PageRankWithWorkspace(g, opt, ws)
+						_, stats, err := algorithms.RunPageRank(context.Background(), g, algorithms.WithIterations(10),
+							algorithms.WithThreads(workers), algorithms.WithMode(mode), algorithms.WithWorkspace(ws))
 						if err != nil {
 							b.Fatal(err)
 						}

@@ -32,16 +32,15 @@ func main() {
 	ctx, cancel := context.WithTimeout(ctx, 30*time.Second)
 	defer cancel()
 
-	opt := algorithms.PageRankOptions{MaxIterations: 50, Tolerance: 1e-9}
-	ws := graphmat.NewWorkspace[float64, float64](int(g.NumVertices()), graphmat.Bitvector)
-	ranks, stats, err := algorithms.PageRankContext(ctx, g, opt, ws,
-		func(info graphmat.IterationInfo) error {
+	ranks, stats, err := algorithms.RunPageRank(ctx, g,
+		algorithms.WithIterations(50), algorithms.WithTolerance(1e-9),
+		algorithms.WithObserver(func(info graphmat.IterationInfo) error {
 			// NextActive is the number of vertices whose rank still moved
 			// more than Tolerance — the convergence residual proxy.
 			fmt.Printf("  superstep %2d: %7d unconverged, %s\n",
 				info.Iteration, info.NextActive, info.Elapsed.Round(time.Microsecond))
 			return nil
-		})
+		}))
 	switch {
 	case err == nil:
 		fmt.Printf("finished: %s after %d supersteps\n", stats.Reason, stats.Iterations)

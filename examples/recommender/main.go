@@ -7,13 +7,13 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"math"
 	"sort"
 	"time"
 
-	"graphmat"
 	"graphmat/algorithms"
 	"graphmat/datagen"
 )
@@ -45,10 +45,12 @@ func main() {
 		g.NumVertices(), g.NumEdges(), time.Since(start).Seconds())
 
 	start = time.Now()
-	factors, stats := algorithms.CF(g, algorithms.CFOptions{
+	factors, stats, err := algorithms.CFContext(context.Background(), g, algorithms.CFOptions{
 		Iterations: *iters, Gamma: 0.002, Lambda: 0.05, InitSeed: 1,
-		Config: graphmat.Config{},
-	})
+	}, nil)
+	if err != nil {
+		panic(err)
+	}
 	el := time.Since(start)
 	fmt.Printf("factorized into %d latent dimensions in %.3fs (%.2fms/iteration, %d sweeps)\n",
 		algorithms.LatentDim, el.Seconds(), el.Seconds()*1e3/float64(stats.Iterations), stats.Iterations)

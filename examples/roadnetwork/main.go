@@ -7,11 +7,11 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"time"
 
-	"graphmat"
 	"graphmat/algorithms"
 	"graphmat/datagen"
 )
@@ -36,7 +36,10 @@ func main() {
 	// Route from the top-left corner.
 	src := uint32(0)
 	start := time.Now()
-	dist, stats := algorithms.SSSP(g, src, graphmat.Config{})
+	dist, stats, err := algorithms.RunSSSP(context.Background(), g, src)
+	if err != nil {
+		panic(err)
+	}
 	el := time.Since(start)
 
 	fmt.Printf("solved in %.3fs over %d supersteps (%.1fus/superstep) — the high-diameter\n",

@@ -7,11 +7,11 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"time"
 
-	"graphmat"
 	"graphmat/algorithms"
 	"graphmat/datagen"
 )
@@ -31,7 +31,10 @@ func main() {
 	if err != nil {
 		panic(err)
 	}
-	triangles, _ := algorithms.TriangleCount(tg, graphmat.Config{})
+	triangles, _, err := algorithms.RunTriangleCount(context.Background(), tg)
+	if err != nil {
+		panic(err)
+	}
 	edges := tg.NumEdges() // undirected friendships after preprocessing
 	fmt.Printf("triangles: %d across %d friendships (%.3fs)\n",
 		triangles, edges, time.Since(start).Seconds())
@@ -58,7 +61,10 @@ func main() {
 			root, best = v, d
 		}
 	}
-	dist, stats := algorithms.BFS(bg, root, graphmat.Config{})
+	dist, stats, err := algorithms.RunBFS(context.Background(), bg, root)
+	if err != nil {
+		panic(err)
+	}
 	hist := map[uint32]int{}
 	reached := 0
 	for _, d := range dist {
@@ -81,7 +87,10 @@ func main() {
 	if err != nil {
 		panic(err)
 	}
-	labels, _ := algorithms.ConnectedComponents(cg, graphmat.Config{})
+	labels, _, err := algorithms.RunConnectedComponents(context.Background(), cg)
+	if err != nil {
+		panic(err)
+	}
 	sizes := map[uint32]int{}
 	for _, l := range labels {
 		sizes[l]++

@@ -20,7 +20,8 @@ import (
 // minParallelDeltaMuts is the mutation count below which delta merges run on
 // the calling goroutine. MergeDelta is a linear merge over the touched
 // columns; for typical small batches the per-batch goroutine fan-out/park
-// cycle dominates the merge itself (the BENCH_store workers_4 regression).
+// cycle dominates the merge itself (a measured workers_4 regression in the
+// BenchmarkApplyEdges sweep).
 const minParallelDeltaMuts = 1 << 12
 
 // ApplyResult reports what one update batch did.

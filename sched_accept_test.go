@@ -1,6 +1,7 @@
 package graphmat_test
 
 import (
+	"context"
 	"runtime"
 	"testing"
 	"time"
@@ -49,14 +50,13 @@ func TestSchedSkewedPageRankSpeedup(t *testing.T) {
 	// Best-of-N wall time per runtime: the minimum is the least-noisy
 	// estimator for a CPU-bound run on a shared CI machine.
 	measure := func(rt graphmat.Runtime) time.Duration {
-		opt := algorithms.PageRankOptions{
-			MaxIterations: 20,
-			Config:        graphmat.Config{Threads: 8, Mode: graphmat.Pull, Runtime: rt},
-		}
+		cfg := graphmat.Config{Threads: 8, Mode: graphmat.Pull, Runtime: rt}
 		best := time.Duration(0)
 		for i := 0; i < 5; i++ {
 			start := time.Now()
-			if _, _, err := algorithms.PageRankWithWorkspace(g, opt, ws); err != nil {
+			_, _, err := algorithms.RunPageRank(context.Background(), g,
+				algorithms.WithIterations(20), algorithms.WithConfig(cfg), algorithms.WithWorkspace(ws))
+			if err != nil {
 				t.Fatal(err)
 			}
 			if d := time.Since(start); best == 0 || d < best {

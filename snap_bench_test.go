@@ -15,9 +15,9 @@ import (
 // GMATSNAP file (BenchmarkSnapWrite), of booting one back as an mmap'd
 // zero-copy instance (BenchmarkSnapBoot), and — for the ratio the restart
 // acceptance test gates on — the parse-and-rebuild path the snapshot
-// replaces (BenchmarkSnapParseBuild). These are the BENCH_snap.json
-// baseline. Dataset size follows GRAPHMAT_BENCH_SHIFT like the other
-// benchmarks (default -3 → RMAT scale 11).
+// replaces (BenchmarkSnapParseBuild), run by make bench-snap. Dataset size
+// follows GRAPHMAT_BENCH_SHIFT like the other benchmarks (default -3 → RMAT
+// scale 11).
 
 func snapBenchAdj(b *testing.B) *graphmat.COO[float32] {
 	b.Helper()

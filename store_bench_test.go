@@ -11,9 +11,9 @@ import (
 
 // Store-side benchmarks: the cost of landing an update batch as delta
 // overlays (BenchmarkApplyEdges) and of folding the overlay back into the
-// base through the parallel rebuild (BenchmarkCompaction). These are the
-// BENCH_store.json baseline. Dataset size follows GRAPHMAT_BENCH_SHIFT like
-// the other benchmarks (default -3 → RMAT scale 11); the batch is 1% of the
+// base through the parallel rebuild (BenchmarkCompaction), run by make
+// bench-store. Dataset size follows GRAPHMAT_BENCH_SHIFT like the other
+// benchmarks (default -3 → RMAT scale 11); the batch is 1% of the
 // edges, the acceptance test's shape.
 
 // storeBenchFixture builds a Both-direction store and its 1% update batch.
