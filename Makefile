@@ -64,14 +64,16 @@ perfbench:
 race:
 	$(GO) test -race ./internal/core/... ./internal/sched/... ./internal/sparse/... ./internal/server/... ./internal/graph/... ./internal/bitvec/... ./internal/gen/... ./internal/snap/... ./algorithms/...
 
-# Fuzz smoke over the graph readers and the SIMD kernel backends: 10s per
-# target (go test takes one -fuzz pattern at a time). The reader targets
-# assert parallel parse ≡ sequential parse; the kernel targets assert every
-# SIMD backend ≡ the scalar oracle bit for bit.
+# Fuzz smoke over the graph readers, the run-reply encoder and the SIMD
+# kernel backends: 10s per target (go test takes one -fuzz pattern at a
+# time). The reader targets assert parallel parse ≡ sequential parse; the
+# reply target asserts the encoder's bytes ≡ encoding/json's; the kernel
+# targets assert every SIMD backend ≡ the scalar oracle bit for bit.
 fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzReadMTX$$' -fuzztime=10s ./internal/graph
 	$(GO) test -run='^$$' -fuzz='^FuzzReadEdgeList$$' -fuzztime=10s ./internal/graph
 	$(GO) test -run='^$$' -fuzz='^FuzzReadBinary$$' -fuzztime=10s ./internal/graph
+	$(GO) test -run='^$$' -fuzz='^FuzzRunReplyEncoding$$' -fuzztime=10s ./internal/server
 	$(GO) test -run='^$$' -fuzz='^FuzzBitvecWords$$' -fuzztime=10s ./internal/kernels
 	$(GO) test -run='^$$' -fuzz='^FuzzDenseFold$$' -fuzztime=10s ./internal/kernels
 

@@ -128,6 +128,11 @@ type Instance interface {
 	// returns the error alongside a Result whose Stats.Reason records the
 	// stop cause.
 	RunContext(ctx context.Context, p Params, scratch any, obs Observer) (Result, error)
+	// RunPinned is RunContext against a snapshot the caller already pinned
+	// with AcquirePin: the run executes on exactly that epoch's edge set,
+	// whatever updates landed since the pin was taken. The pin stays owned
+	// by the caller (Release after the call returns).
+	RunPinned(ctx context.Context, pin Pin, p Params, scratch any, obs Observer) (Result, error)
 	// RunBatch executes the algorithm once per source in p.Sources (falling
 	// back to {p.Source} when empty) as one multi-source block run on one
 	// pinned snapshot: per-source results are bit-identical to the
@@ -146,8 +151,8 @@ type Instance interface {
 	// AcquirePin pins the instance's current property-graph snapshot and
 	// hands ownership to the caller: exactly one Release per pin. The
 	// serving layer's admission batcher pins at admission time so a batch
-	// window that straddles an update still answers every waiter from the
-	// epoch its batch key promised.
+	// queued behind a run that straddles an update still answers every
+	// waiter from the epoch its batch key promised.
 	AcquirePin() Pin
 	// NewScratch allocates the reusable engine workspace for this
 	// (algorithm, graph) pair, for callers that pool scratch across runs.
@@ -183,7 +188,7 @@ type Instance interface {
 // can be scheduled now and executed later against the same epoch. Epoch
 // reports the pinned version; Release discharges the pin (exactly once).
 // Values are produced by Instance.AcquirePin and consumed by
-// Instance.RunBatchPinned.
+// Instance.RunPinned and Instance.RunBatchPinned.
 type Pin interface {
 	Epoch() uint64
 	Release()
@@ -532,6 +537,18 @@ func (i *instance[V, S]) Run(p Params, scratch any) (Result, error) {
 func (i *instance[V, S]) RunContext(ctx context.Context, p Params, scratch any, obs Observer) (Result, error) {
 	snap := i.store.Acquire()
 	defer snap.Release()
+	return i.runOn(ctx, snap, p, scratch, obs)
+}
+
+func (i *instance[V, S]) RunPinned(ctx context.Context, pin Pin, p Params, scratch any, obs Observer) (Result, error) {
+	snap, err := i.pinned(pin)
+	if err != nil {
+		return Result{}, err
+	}
+	return i.runOn(ctx, snap, p, scratch, obs)
+}
+
+func (i *instance[V, S]) runOn(ctx context.Context, snap *graphmat.Snapshot[V, float32], p Params, scratch any, obs Observer) (Result, error) {
 	res, err := i.run(ctx, snap.Graph(), p, p.options(WithWorkspace(scratch), WithObserver(obs))...)
 	res.Epoch = snap.Epoch()
 	return res, err
@@ -550,14 +567,23 @@ func (i *instance[V, S]) RunBatchPinned(ctx context.Context, pin Pin, p Params, 
 	if i.batch == nil {
 		return BatchResult{}, ErrBatchUnsupported
 	}
-	// A pin of another type means the caller pinned a different instance's
-	// graph: a programming error surfaced as an error, not a panic, because
-	// the serving layer routes pins across goroutines.
-	snap, ok := pin.(*graphmat.Snapshot[V, float32])
-	if !ok {
-		return BatchResult{}, fmt.Errorf("algorithms: pin of type %T does not belong to this algorithm's property graph", pin)
+	snap, err := i.pinned(pin)
+	if err != nil {
+		return BatchResult{}, err
 	}
 	return i.runBatch(ctx, snap, p, obs)
+}
+
+// pinned recovers the snapshot behind a pin taken with AcquirePin. A pin of
+// another type means the caller pinned a different instance's graph: a
+// programming error surfaced as an error, not a panic, because the serving
+// layer routes pins across goroutines.
+func (i *instance[V, S]) pinned(pin Pin) (*graphmat.Snapshot[V, float32], error) {
+	snap, ok := pin.(*graphmat.Snapshot[V, float32])
+	if !ok {
+		return nil, fmt.Errorf("algorithms: pin of type %T does not belong to this algorithm's property graph", pin)
+	}
+	return snap, nil
 }
 
 func (i *instance[V, S]) runBatch(ctx context.Context, snap *graphmat.Snapshot[V, float32], p Params, obs Observer) (BatchResult, error) {

@@ -64,6 +64,9 @@ func FuzzReadMTX(f *testing.F) {
 	f.Add([]byte("%%MatrixMarket matrix coordinate real general\n2 2 1\n5 5 1\n"))
 	f.Add([]byte("%%MatrixMarket matrix coordinate real general\n2 2 1\n1 1 1\n1 2 1\n"))
 	f.Add([]byte("%%MatrixMarket matrix coordinate real general\n2 2 1\n0 1 1\n"))
+	// Non-finite values.
+	f.Add([]byte("%%MatrixMarket matrix coordinate real general\n2 2 2\n1 2 1\n2 1 -inf\n"))
+	f.Add([]byte("%%MatrixMarket matrix coordinate real general\n2 2 1\n1 2 NaN\n"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		sameParse(t, "mtx", func(p int) (*COOF, error) {
 			return ParseMTX(data, LoadOptions{Parallelism: p})
@@ -81,6 +84,7 @@ func FuzzReadEdgeList(f *testing.F) {
 	f.Add([]byte("-1 2\n"))
 	f.Add([]byte("1 2 1e999\n"))
 	f.Add([]byte("18446744073709551617 0\n"))
+	f.Add([]byte("0 1 2\n1 2 inf\n2 0 nan\n"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		sameParse(t, "edgelist", func(p int) (*COOF, error) {
 			return ParseEdgeList(data, LoadOptions{Parallelism: p, MinVertices: 3})
@@ -112,6 +116,9 @@ func FuzzReadBinary(f *testing.F) {
 	// body must error out instead of allocating ~2^65 bytes.
 	f.Add(binV1(3, 1<<61, rec))
 	f.Add(binV1(3, 2, rec)) // truncated: one record, two claimed
+	nan := bytes.Clone(rec)
+	binary.LittleEndian.PutUint32(nan[8:12], math.Float32bits(float32(math.NaN())))
+	f.Add(binV1(3, 2, append(bytes.Clone(rec), nan...)))
 	f.Add([]byte("GMATBIN"))
 	f.Add([]byte("WRONGMAG...."))
 

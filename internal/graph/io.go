@@ -141,6 +141,25 @@ func parseUint32(b []byte) (uint32, error) {
 	return uint32(v), nil
 }
 
+// parseWeight parses an edge weight as a float32, rejecting NaN and ±Inf: no
+// algorithm's result is defined over them, and a non-finite value that
+// reaches a result cannot be encoded as JSON.
+func parseWeight(b []byte) (float32, error) {
+	v, err := strconv.ParseFloat(string(b), 32)
+	if err != nil {
+		return 0, err
+	}
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		return 0, fmt.Errorf("non-finite weight %q", b)
+	}
+	return float32(v), nil
+}
+
+// finite reports whether a decoded weight is neither NaN nor ±Inf.
+func finite(w float32) bool {
+	return !math.IsNaN(float64(w)) && !math.IsInf(float64(w), 0)
+}
+
 // lineCap bounds an entry-slice preallocation by what the input could
 // possibly hold: a data line is at least 4 bytes ("0 1\n"), so size claims in
 // headers never drive allocation beyond len/4+1.
@@ -301,11 +320,11 @@ func parseMTXChunk(c lineChunk, nrows, ncols uint32, pattern, symmetric bool) mt
 			if !ok {
 				return fmt.Errorf("mtx line %d: missing value in %q", lineno, line)
 			}
-			v, err := strconv.ParseFloat(string(f2), 32)
+			v, err := parseWeight(f2)
 			if err != nil {
 				return fmt.Errorf("mtx line %d: bad value %q: %v", lineno, f2, err)
 			}
-			w = float32(v)
+			w = v
 		}
 		frag.entries = append(frag.entries, sparse.Triple[float32]{Row: i - 1, Col: j - 1, Val: w})
 		if symmetric && i != j {
@@ -428,11 +447,11 @@ func parseEdgeChunk(c lineChunk) edgeFragment {
 		}
 		w := float32(1)
 		if f2, _, ok := nextField(line, pos); ok {
-			v, err := strconv.ParseFloat(string(f2), 32)
+			v, err := parseWeight(f2)
 			if err != nil {
 				return fmt.Errorf("edgelist line %d: %v", lineno, err)
 			}
-			w = float32(v)
+			w = v
 		}
 		frag.entries = append(frag.entries, sparse.Triple[float32]{Row: src, Col: dst, Val: w})
 		if int64(src) > frag.maxID {
@@ -601,8 +620,14 @@ func parseBinaryV1(data []byte, opt LoadOptions) (*sparse.COO[float32], error) {
 	}
 	coo := sparse.NewCOO[float32](n, n)
 	coo.Entries = make([]sparse.Triple[float32], m)
-	decodeRecords(coo.Entries, payload, opt.workers())
+	if bad := decodeRecords(coo.Entries, payload, opt.workers()); bad >= 0 {
+		return nil, nonFiniteRecord(bad, coo.Entries[bad].Val)
+	}
 	return coo, nil
+}
+
+func nonFiniteRecord(i int, w float32) error {
+	return fmt.Errorf("binary graph: record %d: non-finite weight %v", i, w)
 }
 
 func parseBinaryV2(data []byte, opt LoadOptions) (*sparse.COO[float32], error) {
@@ -654,17 +679,25 @@ func parseBinaryV2(data []byte, opt LoadOptions) (*sparse.COO[float32], error) {
 
 	coo := sparse.NewCOO[float32](nrows, ncols)
 	coo.Entries = make([]sparse.Triple[float32], m)
+	firstBad := make([]int, len(sections))
 	sparse.ParallelFor(len(sections), opt.workers(), func(s int) {
 		sec := sections[s]
-		decodeRecords(coo.Entries[sec.start:sec.start+sec.count],
+		firstBad[s] = decodeRecords(coo.Entries[sec.start:sec.start+sec.count],
 			payload[sec.start*binRecordSize:(sec.start+sec.count)*binRecordSize], 1)
 	})
+	for s, bad := range firstBad {
+		if bad >= 0 {
+			i := int(sections[s].start) + bad
+			return nil, nonFiniteRecord(i, coo.Entries[i].Val)
+		}
+	}
 	return coo, nil
 }
 
 // decodeRecords fills dst from consecutive 12-byte records, splitting the
-// range across workers.
-func decodeRecords(dst []sparse.Triple[float32], payload []byte, workers int) {
+// range across workers, and returns the index of the first record whose
+// weight is NaN or ±Inf, or -1 when every weight is finite.
+func decodeRecords(dst []sparse.Triple[float32], payload []byte, workers int) int {
 	n := len(dst)
 	nchunks := workers
 	if nchunks > n {
@@ -673,8 +706,10 @@ func decodeRecords(dst []sparse.Triple[float32], payload []byte, workers int) {
 	if nchunks < 1 {
 		nchunks = 1
 	}
+	firstBad := make([]int, nchunks)
 	sparse.ParallelFor(nchunks, workers, func(c int) {
 		lo, hi := c*n/nchunks, (c+1)*n/nchunks
+		firstBad[c] = -1
 		for i := lo; i < hi; i++ {
 			off := i * binRecordSize
 			dst[i] = sparse.Triple[float32]{
@@ -682,8 +717,17 @@ func decodeRecords(dst []sparse.Triple[float32], payload []byte, workers int) {
 				Col: binary.LittleEndian.Uint32(payload[off+4 : off+8]),
 				Val: floatFromBits(binary.LittleEndian.Uint32(payload[off+8 : off+12])),
 			}
+			if firstBad[c] < 0 && !finite(dst[i].Val) {
+				firstBad[c] = i
+			}
 		}
 	})
+	for _, bad := range firstBad {
+		if bad >= 0 {
+			return bad
+		}
+	}
+	return -1
 }
 
 // ---------------------------------------------------------------------------

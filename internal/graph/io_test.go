@@ -2,6 +2,7 @@ package graph
 
 import (
 	"bytes"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -179,6 +180,30 @@ func TestBinaryErrors(t *testing.T) {
 		t.Error("truncated V2 body accepted")
 	} else if !strings.Contains(err.Error(), "header claims 2 edges, input holds 1") {
 		t.Errorf("V2 truncation message = %q", err)
+	}
+
+	// A non-finite weight is refused with its record index, in both formats
+	// and whatever the parallelism.
+	for _, bad := range []float32{float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1))} {
+		nf := sparse.NewCOO[float32](10, 10)
+		nf.Add(0, 1, 1)
+		nf.Add(1, 2, bad)
+		nf.Add(2, 3, 1)
+		var v1, v2 bytes.Buffer
+		if err := WriteBinary(&v1, nf); err != nil {
+			t.Fatal(err)
+		}
+		if err := WriteBinary2(&v2, nf, 2); err != nil {
+			t.Fatal(err)
+		}
+		for _, data := range [][]byte{v1.Bytes(), v2.Bytes()} {
+			for _, p := range []int{1, 4} {
+				_, err := ParseBinary(data, LoadOptions{Parallelism: p})
+				if err == nil || !strings.Contains(err.Error(), "record 1") {
+					t.Errorf("weight %v, parallelism %d: error %v, want a record-1 rejection", bad, p, err)
+				}
+			}
+		}
 	}
 
 	// GMATBIN1 has a single dimension field: a rectangular matrix must be

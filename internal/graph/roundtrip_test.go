@@ -157,6 +157,11 @@ func TestParseErrorLineNumbers(t *testing.T) {
 		{"el bad weight", "0 1 x\n", "line 1", false},
 		{"el id overflow", "0 1\n# note\n4294967296 0\n", "line 3", false},
 		{"el comments counted", "# c\n\n0 1\n2\n", "line 4", false},
+		{"el nan weight", "0 1\n1 2 nan\n", "line 2", false},
+		{"el inf weight", "0 1 +Inf\n", "line 1", false},
+		{"el -inf weight", "0 1 2\n# c\n1 2 -infinity\n", "line 3", false},
+		{"mtx -inf value", "%%MatrixMarket matrix coordinate real general\n3 3 2\n1 2 1\n2 3 -inf\n", "line 4", true},
+		{"mtx nan value", "%%MatrixMarket matrix coordinate real symmetric\n3 3 1\n2 1 NaN\n", "line 3", true},
 		{"mtx bad row index", "%%MatrixMarket matrix coordinate real general\n3 3 2\n1 2 1\nx 2 1\n", "line 4", true},
 		{"mtx out of bounds", "%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 1\n5 1 1\n", "line 4", true},
 		{"mtx missing value", "%%MatrixMarket matrix coordinate real general\n% pad\n2 2 1\n1 1\n", "line 4", true},

@@ -3,6 +3,7 @@ package graph
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"testing"
 
 	"graphmat/internal/sparse"
@@ -445,6 +446,12 @@ func TestParseUpdates(t *testing.T) {
 	}
 	if _, err := ParseUpdates([]byte("add 1\n")); err == nil {
 		t.Error("short text line accepted")
+	}
+	// Non-finite weights are refused with the line that carries them.
+	for _, in := range []string{"add 1 2 1\nadd 3 4 inf\n", "1 2\n5 6 -Inf\n", "add 1 2\n3 4 nan\n"} {
+		if _, err := ParseUpdates([]byte(in)); err == nil || !strings.Contains(err.Error(), "line 2") {
+			t.Errorf("%q: error %v, want a line-2 rejection", in, err)
+		}
 	}
 	// Round trip.
 	var buf bytes.Buffer

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strconv"
 )
 
 // Update-stream I/O: the wire formats edge update batches travel in — NDJSON
@@ -98,11 +97,11 @@ func ParseUpdateList(data []byte) ([]Update[float32], error) {
 		}
 		w := float32(1)
 		if len(fields) == 3 && !del {
-			f, err := strconv.ParseFloat(string(fields[2]), 32)
+			f, err := parseWeight(fields[2])
 			if err != nil {
 				return nil, fmt.Errorf("updates line %d: weight: %v", lineno, err)
 			}
-			w = float32(f)
+			w = f
 		}
 		ups = append(ups, Update[float32]{Src: src, Dst: dst, Val: w, Del: del})
 	}

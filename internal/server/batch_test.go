@@ -7,7 +7,6 @@ import (
 	"net/http/httptest"
 	"sync"
 	"testing"
-	"time"
 
 	"graphmat"
 	"graphmat/algorithms"
@@ -206,15 +205,18 @@ func TestRunV1Unified(t *testing.T) {
 // TestRunV1Coalescing is the serving half of the batching differential:
 // concurrent single-source v1 requests must coalesce into shared block runs
 // AND return exactly the payload (values, epoch) an uncoalesced server
-// produces. A generous window guarantees the burst lands in one batch even
-// on slow single-core CI; the uncoalesced oracle runs with batching disabled.
+// produces. The first request's run is held in flight while the rest of the
+// burst queues behind it, so the burst lands in one batch on any machine;
+// the uncoalesced oracle is a second server sent the same requests one at a
+// time.
 func TestRunV1Coalescing(t *testing.T) {
-	srv := New(Config{BatchWindow: 300 * time.Millisecond})
+	srv := New(Config{})
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
 	addTestGraph(t, ts, "g")
+	hold := holdFirstRun(srv.batcher)
 
-	solo := New(Config{BatchWindow: -1}) // coalescing disabled: width-1 batches
+	solo := New(Config{}) // sequential requests: every run is width 1
 	soloTS := httptest.NewServer(solo)
 	t.Cleanup(soloTS.Close)
 	addTestGraph(t, soloTS, "g")
@@ -227,21 +229,28 @@ func TestRunV1Coalescing(t *testing.T) {
 	}
 	replies := make([]v1Reply, len(sources))
 	var wg sync.WaitGroup
-	for i, src := range sources {
+	send := func(i int) {
 		wg.Add(1)
-		go func(i int, src uint32) {
+		go func() {
 			defer wg.Done()
 			code, body := do(t, ts, http.MethodPost, "/v1/graphs/g/run",
-				map[string]any{"algo": "bfs", "sources": []uint32{src}})
+				map[string]any{"algo": "bfs", "sources": []uint32{sources[i]}})
 			if code != http.StatusOK {
-				t.Errorf("source %d: code %d: %s", src, code, body)
+				t.Errorf("source %d: code %d: %s", sources[i], code, body)
 				return
 			}
 			if err := json.Unmarshal(body, &replies[i]); err != nil {
 				t.Error(err)
 			}
-		}(i, src)
+		}()
 	}
+	send(0)
+	<-hold.started
+	for i := 1; i < len(sources); i++ {
+		send(i)
+	}
+	waitSubmitted(t, srv.batcher, int64(len(sources)))
+	close(hold.release)
 	wg.Wait()
 	if t.Failed() {
 		t.FailNow()
@@ -249,8 +258,8 @@ func TestRunV1Coalescing(t *testing.T) {
 
 	anyCoalesced := false
 	for i, src := range sources {
-		// Uncoalesced oracle: same request against the batching-disabled
-		// server; payloads must match on values and epoch. (Stats legitimately
+		// Uncoalesced oracle: same request against the idle second server;
+		// payloads must match on values and epoch. (Stats legitimately
 		// differ — a coalesced run's stats aggregate the whole batch.)
 		code, body := do(t, soloTS, http.MethodPost, "/v1/graphs/g/run",
 			map[string]any{"algo": "bfs", "sources": []uint32{src}})
@@ -262,7 +271,7 @@ func TestRunV1Coalescing(t *testing.T) {
 			t.Fatal(err)
 		}
 		if want.Coalesced {
-			t.Fatalf("source %d: batching-disabled server reported coalescing", src)
+			t.Fatalf("source %d: a lone request reported coalescing", src)
 		}
 		if len(replies[i].Values) != len(want.Values) {
 			t.Fatalf("source %d: %d values vs %d", src, len(replies[i].Values), len(want.Values))
@@ -304,25 +313,66 @@ func TestRunV1Coalescing(t *testing.T) {
 	}
 }
 
-// TestRunV1SingleSourceDisabledBatcher pins the width-1 fallback: with
-// coalescing off, a sources=[v] request still answers in the scalar shape,
-// bit-identical to the direct run.
-func TestRunV1SingleSourceDisabledBatcher(t *testing.T) {
-	srv := New(Config{BatchWindow: -1})
+// TestRunV1SingleSourceWidthOne pins the width-1 path: a sources=[v]
+// request that runs alone, and one queued alone behind a run in flight,
+// both answer in the scalar shape, bit-identical to the direct run, and
+// both run on the scalar engine through the instance's one reused
+// workspace rather than as block runs.
+func TestRunV1SingleSourceWidthOne(t *testing.T) {
+	srv := New(Config{})
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
 	addTestGraph(t, ts, "g")
+	hold := holdFirstRun(srv.batcher)
 
-	code, body := do(t, ts, http.MethodPost, "/v1/graphs/g/run",
-		map[string]any{"algo": "sssp", "sources": []int{5}})
-	if code != http.StatusOK {
-		t.Fatalf("run = %d: %s", code, body)
+	type v1Reply struct {
+		runReply
+		Coalesced bool `json:"coalesced"`
 	}
-	var reply runReply
-	if err := json.Unmarshal(body, &reply); err != nil {
+	replies := make([]v1Reply, 2)
+	sources := []int{5, 9}
+	var wg sync.WaitGroup
+	send := func(i int) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			code, body := do(t, ts, http.MethodPost, "/v1/graphs/g/run",
+				map[string]any{"algo": "sssp", "sources": []int{sources[i]}})
+			if code != http.StatusOK {
+				t.Errorf("run = %d: %s", code, body)
+				return
+			}
+			if err := json.Unmarshal(body, &replies[i]); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	send(0)
+	<-hold.started
+	send(1)
+	waitSubmitted(t, srv.batcher, 2)
+	close(hold.release)
+	wg.Wait()
+	if t.Failed() {
+		t.FailNow()
+	}
+	for i, reply := range replies {
+		if reply.Coalesced {
+			t.Errorf("source %d: a width-1 run reported coalescing", sources[i])
+		}
+		expectBitIdentical(t, reply.runReply, direct(t, "sssp", algorithms.Params{Source: uint32(sources[i])}))
+	}
+	if widths := hold.dispatched(); len(widths) != 2 || widths[0] != 1 || widths[1] != 1 {
+		t.Fatalf("dispatched widths %v, want [1 1]", widths)
+	}
+	g, err := srv.reg.Get("g")
+	if err != nil {
 		t.Fatal(err)
 	}
-	expectBitIdentical(t, reply, direct(t, "sssp", algorithms.Params{Source: 5}))
+	st := g.Stats()["sssp"]
+	if st.WorkspaceAllocs != 1 || st.BatchRuns != 2 || st.BatchedSources != 2 {
+		t.Fatalf("sssp tallies = %+v, want 2 width-1 admission batches on 1 reused workspace", st)
+	}
 }
 
 // TestRunV1BatchStream checks the streaming batch form: progress lines then

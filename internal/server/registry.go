@@ -88,7 +88,8 @@ type algoInstance struct {
 	allocs  atomic.Int64 // workspaces created (at most one)
 	runs    atomic.Int64
 
-	// batchRuns counts multi-source block runs; batchedSources the total
+	// batchRuns counts multi-source block runs and admission batches
+	// (width-1 ones run on the scalar engine); batchedSources the total
 	// source columns they advanced. batchedSources / batchRuns is the mean
 	// batch width — the serving-side view of how well admission batching and
 	// explicit multi-source requests amortize adjacency sweeps.
@@ -446,6 +447,40 @@ func (g *GraphEntry) RunContext(ctx context.Context, algo string, p algorithms.P
 	if err != nil {
 		return algorithms.Result{}, err
 	}
+	res, err := ai.runScalar(func(scratch any) (algorithms.Result, error) {
+		return ai.inst.RunContext(ctx, p, scratch, obs)
+	})
+	if err == nil {
+		ai.runs.Add(1)
+	}
+	return res, err
+}
+
+// RunPinned is RunContext against a snapshot the caller pinned earlier with
+// the instance's AcquirePin — the admission batcher's path for a batch of
+// width 1, which runs on the scalar engine through the instance's reused
+// workspace instead of allocating n×1 block scratch. The pin stays owned by
+// the caller. It tallies as an admission batch of one source (BatchRuns,
+// BatchedSources), not as a scalar run.
+func (g *GraphEntry) RunPinned(ctx context.Context, algo string, pin algorithms.Pin, p algorithms.Params, obs algorithms.Observer) (algorithms.Result, error) {
+	ai, err := g.instance(algo)
+	if err != nil {
+		return algorithms.Result{}, err
+	}
+	res, err := ai.runScalar(func(scratch any) (algorithms.Result, error) {
+		return ai.inst.RunPinned(ctx, pin, p, scratch, obs)
+	})
+	if err == nil {
+		ai.batchRuns.Add(1)
+		ai.batchedSources.Add(1)
+	}
+	return res, err
+}
+
+// runScalar runs one scalar query through the instance's workspace under
+// runMu, creating the workspace on first use and resetting it afterwards,
+// and records a successful run's engine stats.
+func (ai *algoInstance) runScalar(run func(scratch any) (algorithms.Result, error)) (algorithms.Result, error) {
 	ai.runMu.Lock()
 	defer ai.runMu.Unlock()
 	if ai.scratch == nil {
@@ -453,7 +488,7 @@ func (g *GraphEntry) RunContext(ctx context.Context, algo string, p algorithms.P
 		ai.allocs.Add(1)
 	}
 	start := time.Now()
-	res, err := ai.inst.RunContext(ctx, p, ai.scratch, obs)
+	res, err := run(ai.scratch)
 	wall := time.Since(start).Seconds()
 	if rs, ok := ai.scratch.(interface{ Reset() }); ok {
 		rs.Reset() // stale messages must not leak into the next query
@@ -461,7 +496,6 @@ func (g *GraphEntry) RunContext(ctx context.Context, algo string, p algorithms.P
 	if err != nil {
 		return res, err
 	}
-	ai.runs.Add(1)
 	ai.record(res.Stats, wall)
 	return res, nil
 }
@@ -515,8 +549,9 @@ func (g *GraphEntry) RunBatchPinned(ctx context.Context, algo string, pin algori
 // AlgoStats is the /stats view of one (graph, algorithm) pair.
 type AlgoStats struct {
 	Runs int64 `json:"runs"`
-	// BatchRuns counts multi-source block runs; BatchedSources the source
-	// columns they carried (their ratio is the mean batch width).
+	// BatchRuns counts multi-source block runs and admission batches (a
+	// width-1 admission batch runs on the scalar engine); BatchedSources
+	// the source columns they carried (their ratio is the mean batch width).
 	BatchRuns      int64 `json:"batch_runs"`
 	BatchedSources int64 `json:"batched_sources"`
 	// WorkspaceAllocs counts workspaces the instance created: at most one,

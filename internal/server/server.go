@@ -47,12 +47,6 @@ type Config struct {
 	// are acknowledged, and re-registering a persisted name boots from the
 	// mmap'd snapshots instead of re-parsing and re-building.
 	DataDir string
-	// BatchWindow is the admission-batching window of the v1 run API:
-	// single-source requests for the same (graph, algorithm, epoch, params)
-	// arriving within it coalesce into one multi-source block run. 0 means
-	// the default (2ms); negative disables coalescing (each request runs as a
-	// width-1 batch).
-	BatchWindow time.Duration
 	// Logger, when set, receives one line per request.
 	Logger *log.Logger
 }
@@ -64,7 +58,7 @@ type Server struct {
 	cfg     Config
 	reg     *Registry
 	cache   *resultCache
-	batcher *batcher // nil when coalescing is disabled
+	batcher *batcher
 	mux     *http.ServeMux
 	start   time.Time
 
@@ -86,13 +80,11 @@ func New(cfg Config) *Server {
 		cfg:      cfg,
 		reg:      NewRegistry(cfg.Partitions, cfg.Workers, cfg.DataDir),
 		cache:    newResultCache(size),
+		batcher:  newBatcher(),
 		mux:      http.NewServeMux(),
 		start:    time.Now(),
 		requests: make(map[string]int64),
 		modeRuns: make(map[string]int64),
-	}
-	if cfg.BatchWindow >= 0 {
-		s.batcher = newBatcher(cfg.BatchWindow)
 	}
 	// Every endpoint lives under /v1; the unversioned forms are deprecated
 	// aliases (the pre-versioning API) answering identically but flagged with
@@ -487,8 +479,9 @@ type runRequest struct {
 // list behave exactly like the legacy per-algorithm endpoint (cache fast
 // path included). Requests with sources take the multi-source path: k
 // independent runs advanced as one block batch, bit-identical per source to
-// k solo runs. Single-source requests go through the admission batcher,
-// which coalesces concurrent compatible requests into shared block runs —
+// k solo runs. Single-source requests go through the admission batcher: a
+// lone request runs at once on the scalar engine, and requests queued behind
+// a run in flight for the same key are coalesced into one shared block run —
 // the LRU cache is deliberately not consulted on this path; shared sweeps,
 // not memoization, are the v1 dedup mechanism.
 func (s *Server) handleRunV1(w http.ResponseWriter, r *http.Request) {
@@ -550,21 +543,12 @@ func (s *Server) handleRunV1(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	if len(req.Sources) == 1 {
 		params.Source, params.Sources = req.Sources[0], nil
-		var res algorithms.Result
-		var coalesced bool
-		if s.batcher != nil {
-			res, coalesced, err = s.batcher.submit(ctx, g, req.Algo, params)
-		} else {
-			var batch algorithms.BatchResult
-			if batch, err = g.RunBatch(ctx, req.Algo, params, nil); err == nil {
-				res = algorithms.Result{Values: batch.Values[0], Stats: batch.Stats, Epoch: batch.Epoch}
-			}
-		}
+		res, coalesced, err := s.batcher.submit(ctx, g, req.Algo, params)
 		if err != nil {
 			writeError(w, runErrorCode(err), "%v", err)
 			return
 		}
-		writeJSON(w, http.StatusOK, runResponse{
+		writeReply(w, &runResponse{
 			Graph:      name,
 			Algorithm:  req.Algo,
 			Coalesced:  coalesced,
@@ -579,7 +563,7 @@ func (s *Server) handleRunV1(w http.ResponseWriter, r *http.Request) {
 		writeError(w, runErrorCode(err), "%v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, batchRunResponse{
+	writeReply(w, &batchRunResponse{
 		Graph:       name,
 		Algorithm:   req.Algo,
 		DurationMS:  ms(time.Since(start)),
@@ -666,7 +650,7 @@ func (s *Server) finishRun(ctx context.Context, w http.ResponseWriter, g *GraphE
 	epoch := g.Epoch()
 	key := cacheKey(name, epoch, algo, params)
 	if res, ok := s.cache.get(key); ok {
-		writeJSON(w, http.StatusOK, runResponse{Graph: name, Algorithm: algo, Cached: true, Result: res})
+		writeReply(w, &runResponse{Graph: name, Algorithm: algo, Cached: true, Result: res})
 		return
 	}
 	start := time.Now()
@@ -688,10 +672,10 @@ func (s *Server) finishRun(ctx context.Context, w http.ResponseWriter, g *GraphE
 	if !s.reg.Has(g) {
 		s.cache.invalidateGraph(name)
 	}
-	writeJSON(w, http.StatusOK, runResponse{
+	writeReply(w, &runResponse{
 		Graph:      name,
 		Algorithm:  algo,
-		DurationMS: float64(time.Since(start).Microseconds()) / 1000,
+		DurationMS: ms(time.Since(start)),
 		Result:     res,
 	})
 }
@@ -766,7 +750,7 @@ func (s *Server) streamRun(ctx context.Context, w http.ResponseWriter, g *GraphE
 	if !s.reg.Has(g) {
 		s.cache.invalidateGraph(name)
 	}
-	_ = writeLine(runResponse{
+	writeReplyLine(w, &runResponse{
 		Graph:      name,
 		Algorithm:  algo,
 		DurationMS: ms(time.Since(start)),
@@ -809,7 +793,7 @@ func (s *Server) streamRunBatch(ctx context.Context, w http.ResponseWriter, g *G
 		_ = writeLine(map[string]string{"error": err.Error(), "reason": res.Stats.Reason.String()})
 		return
 	}
-	_ = writeLine(batchRunResponse{
+	writeReplyLine(w, &batchRunResponse{
 		Graph:       name,
 		Algorithm:   algo,
 		DurationMS:  ms(time.Since(start)),
@@ -843,8 +827,8 @@ type statsResponse struct {
 	// resolved) is in each graph's per-algorithm engine stats.
 	ModeRuns map[string]int64 `json:"mode_runs"`
 	Cache    cacheStats       `json:"cache"`
-	// Batcher is the v1 admission layer's view: requests admitted, block
-	// runs dispatched, and how many requests shared a run with others.
+	// Batcher is the v1 admission layer's view: requests admitted, runs
+	// dispatched, and how many requests shared a run with others.
 	Batcher batcherStats          `json:"batcher"`
 	Graphs  map[string]GraphStats `json:"graphs"`
 	// Sched is the process-wide scheduler runtime's per-worker utilization
@@ -879,16 +863,12 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			graphs[n] = gs
 		}
 	}
-	var bs batcherStats
-	if s.batcher != nil {
-		bs = s.batcher.stats()
-	}
 	writeJSON(w, http.StatusOK, statsResponse{
 		UptimeSeconds: time.Since(s.start).Seconds(),
 		Requests:      reqs,
 		ModeRuns:      modes,
 		Cache:         s.cache.stats(),
-		Batcher:       bs,
+		Batcher:       s.batcher.stats(),
 		Graphs:        graphs,
 		Sched:         sched.Snapshot(),
 	})

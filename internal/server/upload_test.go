@@ -2,7 +2,9 @@ package server
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -188,5 +190,77 @@ func TestUploadErrors(t *testing.T) {
 	code, _ := uploadBody(t, ts2, "big", "edgelist", big)
 	if code != http.StatusRequestEntityTooLarge {
 		t.Errorf("oversized upload = %d, want 413", code)
+	}
+}
+
+// TestNonFiniteWeightsRejected: an upload or update batch carrying a NaN or
+// ±Inf weight is refused with 400 and registers or changes nothing. (Such a
+// graph used to be accepted, and sssp on it then answered 200 with an empty
+// body.)
+func TestNonFiniteWeightsRejected(t *testing.T) {
+	_, ts := newTestServer(t)
+	infBin := sparse.NewCOO[float32](3, 3)
+	infBin.Add(0, 1, 1)
+	infBin.Add(1, 2, float32(math.Inf(1)))
+	var binBuf bytes.Buffer
+	if err := graph.WriteBinary2(&binBuf, infBin, 1); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name, format string
+		body         []byte
+	}{
+		{"mtx", "mtx", []byte("%%MatrixMarket matrix coordinate real general\n3 3 2\n1 2 1\n2 3 -inf\n")},
+		{"edgelist", "edgelist", []byte("0 1 1\n1 2 nan\n")},
+		{"bin", "bin", binBuf.Bytes()},
+	} {
+		code, body := uploadBody(t, ts, tc.name, tc.format, tc.body)
+		if code != http.StatusBadRequest {
+			t.Errorf("%s upload with a non-finite weight = %d: %s", tc.format, code, body)
+		}
+		if code, _ := do(t, ts, http.MethodGet, "/graphs/"+tc.name, nil); code != http.StatusNotFound {
+			t.Errorf("rejected %s upload was registered", tc.format)
+		}
+	}
+
+	addTestGraph(t, ts, "g")
+	for _, batch := range []string{"add 0 1 inf\n", "0 1 2\n1 2 -Inf\n"} {
+		if code, body := doRaw(t, ts, http.MethodPost, "/graphs/g/edges", batch); code != http.StatusBadRequest {
+			t.Errorf("update batch %q = %d: %s", batch, code, body)
+		}
+	}
+	if code, body := do(t, ts, http.MethodGet, "/graphs/g", nil); code != http.StatusOK || !bytes.Contains(body, []byte(`"epoch":0`)) {
+		t.Errorf("rejected update batches moved the graph: %d %s", code, body)
+	}
+}
+
+// TestNonFiniteResultIs500: finite weights can still produce a non-finite
+// result — two -3e38 hops overflow a float32 distance to -Inf. Every run
+// reply path must then answer 500 with a JSON error, never 200 with an
+// empty body.
+func TestNonFiniteResultIs500(t *testing.T) {
+	_, ts := newTestServer(t)
+	mtx := "%%MatrixMarket matrix coordinate real general\n3 3 2\n1 2 -3e38\n2 3 -3e38\n"
+	if code, body := uploadBody(t, ts, "g", "mtx", []byte(mtx)); code != http.StatusCreated {
+		t.Fatalf("upload = %d: %s", code, body)
+	}
+	for _, tc := range []struct {
+		path string
+		req  map[string]any
+	}{
+		{"/v1/graphs/g/run/sssp", map[string]any{"source": 0}},
+		{"/v1/graphs/g/run", map[string]any{"algo": "sssp", "params": map[string]any{"source": 0}}},
+		{"/v1/graphs/g/run", map[string]any{"algo": "sssp", "sources": []int{0}}},
+		{"/v1/graphs/g/run", map[string]any{"algo": "sssp", "sources": []int{0, 1}}},
+	} {
+		code, body := do(t, ts, http.MethodPost, tc.path, tc.req)
+		if code != http.StatusInternalServerError {
+			t.Errorf("%s %v = %d: %q, want 500", tc.path, tc.req, code, body)
+			continue
+		}
+		var reply map[string]string
+		if err := json.Unmarshal(body, &reply); err != nil || reply["error"] == "" {
+			t.Errorf("%s %v: body %q is not a JSON error (%v)", tc.path, tc.req, body, err)
+		}
 	}
 }
